@@ -187,6 +187,13 @@ def cmd_pairing(args) -> int:
     return EXIT_OK if report.holds else EXIT_DEFECTS
 
 
+def _length(value: str) -> int:
+    m = int(value)
+    if m < 0:
+        raise argparse.ArgumentTypeError("--length must be >= 0")
+    return m
+
+
 def _max_length(value: str) -> int:
     m = int(value)
     if m < 2:
@@ -219,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("words", help="list admissible words of a given length")
     common(p)
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=_length, required=True)
     p.set_defaults(func=cmd_words)
 
     p = sub.add_parser("ktheory", help="K-theory and K-homology of O_A and O_{A^T}")

@@ -218,7 +218,9 @@ def parse_matrix_json(text: str) -> ZeroOneMatrix:
     if not isinstance(obj, dict) or set(obj) != {"n", "rows"}:
         raise MatrixFormatError('expected an object with exactly the keys "n" and "rows"')
     n, rows = obj["n"], obj["rows"]
-    if not isinstance(n, int) or not isinstance(rows, list) or len(rows) != n:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise MatrixFormatError(f'"n" must be an integer, got {n!r}')
+    if not isinstance(rows, list) or len(rows) != n:
         raise MatrixFormatError('"n" must match the number of rows')
     if not all(isinstance(r, list) and len(r) == n for r in rows):
         raise MatrixFormatError(f"every row must be a list of {n} entries")

@@ -9,6 +9,8 @@ computed from these presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 
 
 @dataclass(frozen=True)
@@ -21,7 +23,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        data = tuple(tuple(int(e) for e in r) for r in rows)
+        data = tuple(tuple(map(int, r)) for r in rows)
         ncols = len(data[0]) if data else 0
         if any(len(r) != ncols for r in data):
             raise ValueError("ragged rows")
@@ -29,7 +31,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(n, n, tuple(map(tuple, _identity_lists(n))))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -119,46 +121,118 @@ class FGAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
+def _identity_lists(n: int) -> list:
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+
+
 def _pivot(s, t, rows, cols):
-    """Smallest nonzero absolute value in the trailing submatrix, row-major tie-break."""
-    best = None
+    """Smallest nonzero absolute value in the trailing submatrix, row-major tie-break.
+
+    Returns at the first entry of absolute value 1: no nonzero entry is
+    smaller, so the full scan would pick that same entry.
+    """
+    best, best_abs = None, 0
     for i in range(t, rows):
-        for j in range(t, cols):
-            v = s[i][j]
-            if v and (best is None or abs(v) < abs(s[best[0]][best[1]])):
-                best = (i, j)
+        row = s[i]
+        for j in compress(range(t, cols), row[t:]):
+            a = abs(row[j])
+            if a == 1:
+                return i, j
+            if best is None or a < best_abs:
+                best, best_abs = (i, j), a
     return best
 
 
-def _swap_rows(s, u, a, b):
-    if a != b:
-        s[a], s[b] = s[b], s[a]
-        u[a], u[b] = u[b], u[a]
+def _nonzeros(row, start):
+    """(j, row[j]) for the nonzero entries with j >= start; zeros are skipped in C."""
+    return [(j, row[j]) for j in compress(range(start, len(row)), row[start:])]
 
 
-def _swap_cols(s, v, a, b):
-    if a != b:
-        for row in s:
-            row[a], row[b] = row[b], row[a]
-        for row in v:
-            row[a], row[b] = row[b], row[a]
+def _move_pivot(s, u, vt, t, piv):
+    """Swap the pivot to (t, t): row swap in S and U, column swap in S and V."""
+    a, b = piv
+    if a != t:
+        s[a], s[t] = s[t], s[a]
+        u[a], u[t] = u[t], u[a]
+    if b != t:
+        for row in s[t:]:
+            row[b], row[t] = row[t], row[b]
+        vt[b], vt[t] = vt[t], vt[b]
 
 
-def _add_row(s, u, dst, src, c):
-    # row dst += c * row src
-    sd, ss = s[dst], s[src]
-    for j in range(len(sd)):
-        sd[j] += c * ss[j]
-    ud, us = u[dst], u[src]
-    for j in range(len(ud)):
-        ud[j] += c * us[j]
+def _fold_into_pivot_row(s, u, t, src):
+    # row t += row src; S is zero left of column t in both rows
+    st, ut = s[t], u[t]
+    for j, x in _nonzeros(s[src], t):
+        st[j] += x
+    for j, x in _nonzeros(u[src], 0):
+        ut[j] += x
 
 
-def _add_col(s, v, dst, src, c):
-    for row in s:
-        row[dst] += c * row[src]
-    for row in v:
-        row[dst] += c * row[src]
+def _clear_below(s, u, t, rows):
+    """Row operations row i -= (s[i][t] // p) * row t for every i > t.
+
+    None of them writes row t, so its nonzeros are collected once.  Returns
+    whether a nonzero remainder is left in column t.
+    """
+    p = s[t][t]
+    s_terms = u_terms = None
+    dirty = False
+    for i in compress(range(t + 1, rows), map(itemgetter(t), s[t + 1:])):
+        si = s[i]
+        q = si[t] // p
+        if q:
+            if s_terms is None:
+                s_terms, u_terms = _nonzeros(s[t], t), _nonzeros(u[t], 0)
+            for j, x in s_terms:
+                si[j] -= q * x
+            ui = u[i]
+            for j, x in u_terms:
+                ui[j] -= q * x
+        if si[t]:
+            dirty = True
+    return dirty
+
+
+def _clear_right(s, vt, t, cols):
+    """Column operations col j -= (s[t][j] // p) * col t for every j > t, in one pass.
+
+    Each reads only column t and none writes it, so they commute: on S they
+    are applied in one sweep over the rows, and on V (held as its transpose
+    vt) each is a row operation with the nonzeros of column t.  Returns
+    whether a nonzero remainder is left in row t.
+    """
+    p = s[t][t]
+    ops = []
+    dirty = False
+    for j, x in _nonzeros(s[t], t + 1):
+        q = x // p
+        if q:
+            ops.append((j, q))
+        if x - q * p:
+            dirty = True
+    if ops:
+        trailing = s[t:]
+        for row in compress(trailing, map(itemgetter(t), trailing)):
+            c = row[t]
+            for j, q in ops:
+                row[j] -= q * c
+        v_terms = _nonzeros(vt[t], 0)
+        for j, q in ops:
+            vj = vt[j]
+            for k, x in v_terms:
+                vj[k] -= q * x
+    return dirty
+
+
+def _first_indivisible_row(s, t, rows, cols):
+    p = s[t][t]
+    for i in range(t + 1, rows):
+        row = s[i]
+        for j in range(t + 1, cols):
+            if row[j] % p:
+                return i
+    return None
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
@@ -167,61 +241,50 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     Deterministic: the pivot is always the entry of smallest nonzero absolute
     value in the active submatrix, ties broken in row-major order.  The
     diagonal is made non-negative and satisfies d_i | d_{i+1}.
+
+    At step t every row and column of S before t is already cleared except
+    for its diagonal entry, and no later operation mixes them back in: row
+    operations combine rows >= t and column operations combine columns >= t.
+    So row operations on S touch only columns >= t, column operations on S
+    only rows >= t, and both skip zero source entries.  V is held transposed,
+    so its column operations are row operations as well, and U and V^T are
+    updated only where the source row is nonzero.  The column operations of
+    one reduction pass all read column t and none writes it, so on S they
+    are applied together in a single sweep over rows >= t.  A pivot of
+    absolute value 1 divides everything, so the divisibility scan is skipped
+    for it.  None of this changes which operations run, and the arithmetic
+    is exact, so U, S and V are exactly those of the plain entry-by-entry
+    elimination.
     """
     rows, cols = m.rows, m.cols
     s = m.to_lists()
-    u = IntMatrix.identity(rows).to_lists()
-    v = IntMatrix.identity(cols).to_lists()
+    u = _identity_lists(rows)
+    vt = _identity_lists(cols)  # V transposed: its column operations become row operations
     t = 0
     while t < min(rows, cols):
         piv = _pivot(s, t, rows, cols)
         if piv is None:
             break
-        _swap_rows(s, u, t, piv[0])
-        _swap_cols(s, v, t, piv[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if s[i][t]:
-                    q = s[i][t] // s[t][t]
-                    if q:
-                        _add_row(s, u, i, t, -q)
-                    if s[i][t]:
-                        dirty = True
-            for j in range(t + 1, cols):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
-                    if q:
-                        _add_col(s, v, j, t, -q)
-                    if s[t][j]:
-                        dirty = True
-            if not dirty:
-                break
+        _move_pivot(s, u, vt, t, piv)
+        # run both passes every round: the column pass reads the remainders
+        # the row pass leaves in column t
+        while _clear_below(s, u, t, rows) | _clear_right(s, vt, t, cols):
             # leftover remainders are strictly smaller than the pivot; re-center
-            piv = _pivot(s, t, rows, cols)
-            _swap_rows(s, u, t, piv[0])
-            _swap_cols(s, v, t, piv[1])
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if s[i][j] % s[t][t]:
-                    bad = i
-                    break
+            _move_pivot(s, u, vt, t, _pivot(s, t, rows, cols))
+        if abs(s[t][t]) != 1:
+            bad = _first_indivisible_row(s, t, rows, cols)
             if bad is not None:
-                break
-        if bad is not None:
-            # fold the offending row into row t so the next pivot divides it
-            _add_row(s, u, t, bad, 1)
-            continue
+                # fold the offending row into row t so the next pivot divides it
+                _fold_into_pivot_row(s, u, t, bad)
+                continue
         if s[t][t] < 0:
-            for j in range(cols):
-                s[t][j] = -s[t][j]
-            for j in range(rows):
-                u[t][j] = -u[t][j]
+            # the rest of row t of S is already zero
+            s[t][t] = -s[t][t]
+            u[t] = [-x for x in u[t]]
         t += 1
-    return SmithForm(IntMatrix.from_rows(u) if rows else IntMatrix(0, 0, ()),
-                     IntMatrix.from_rows(s) if rows else IntMatrix(0, cols, ()),
-                     IntMatrix.from_rows(v) if cols else IntMatrix(0, 0, ()))
+    return SmithForm(IntMatrix(rows, rows, tuple(map(tuple, u))),
+                     IntMatrix(rows, cols, tuple(map(tuple, s))),
+                     IntMatrix(cols, cols, tuple(zip(*vt))))
 
 
 def determinant(m: IntMatrix) -> int:

@@ -47,6 +47,25 @@ def relation_family() -> list:
     return all_valid_2x2() + [ones(3), CYCLE3, CHORD3, SPARSE3, ones(4), RING4, MIXED4]
 
 
+def higher_block(a: ZeroOneMatrix, block: int) -> ZeroOneMatrix:
+    """The higher-block presentation A^[N], a conjugacy of the shift of A.
+
+    Vertices are the admissible N-words in lexicographic order, with an edge
+    u -> v iff u[1:] == v[:-1].
+    """
+    words = enumerate_words(a, block)
+    by_prefix = {}
+    for j, v in enumerate(words):
+        by_prefix.setdefault(v[:-1], []).append(j)
+    rows = []
+    for u in words:
+        row = [0] * len(words)
+        for j in by_prefix.get(u[1:], ()):
+            row[j] = 1
+        rows.append(row)
+    return validate_matrix(rows)
+
+
 def random_valid_matrix(rng: random.Random, n: int) -> ZeroOneMatrix:
     """A valid n x n 0/1 matrix (zero rows/columns repaired, then revalidated)."""
     rows = [[1 if rng.random() < 0.45 else 0 for _ in range(n)] for _ in range(n)]

@@ -154,6 +154,30 @@ def test_max_length_validation(capsys, fib_file):
     assert exc.value.code == 2
 
 
+def test_boolean_n_exits_2(capsys, tmp_path):
+    p = tmp_path / "bool.json"
+    p.write_text('{"n": true, "rows": [[1]]}')
+    code, _out, err = run(capsys, "validate", "--matrix", str(p))
+    assert code == 2
+    assert '"n" must be an integer' in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["words", "--length", "-1"], "--length must be >= 0"),
+        (["fock-verify", "--max-length", "-1"], "--max-length must be >= 2"),
+        (["lemma-verify", "--max-length", "-1"], "--max-length must be >= 2"),
+        (["pairing", "--max-length", "-1"], "--max-length must be >= 2"),
+    ],
+)
+def test_negative_lengths_rejected_at_parsing(capsys, fib_file, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--matrix", fib_file, *argv[1:]])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_text_format_matrix_accepted(capsys, tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("1 1\n1 0\n")

@@ -10,7 +10,15 @@ from ckdual.ktheory import (
 )
 from ckdual.zlinalg import FGAbelianGroup, kernel_basis
 
-from helpers import FIB, SWAP, ones, random_aperiodic_matrices, relation_family
+from helpers import (
+    FIB,
+    MIXED4,
+    SWAP,
+    higher_block,
+    ones,
+    random_aperiodic_matrices,
+    relation_family,
+)
 
 
 def test_cuntz_algebra_family():
@@ -43,6 +51,18 @@ def test_rank_nullity_symmetry():
         rank = n - len(kernel_basis(one_minus_transpose(a)))
         assert rep.o_a.k1.free_rank == n - rank
         assert rep.o_a.k0.free_rank == n - rank
+
+
+def test_higher_block_conjugacy_invariance():
+    # A^[N] presents a shift conjugate to that of A, so all eight groups agree
+    for a in (FIB, ones(3), MIXED4):
+        base = k_groups(a)
+        for block in (2, 3, 4):
+            rep = k_groups(higher_block(a, block))
+            assert (rep.o_a, rep.o_at) == (base.o_a, base.o_at)
+    assert k_groups(MIXED4).o_a.k0 == FGAbelianGroup(0, (2,))
+    # sizes: admissible words of length N
+    assert [higher_block(MIXED4, b).n for b in (2, 3, 4)] == [10, 26, 67]
 
 
 def test_bowen_franks():

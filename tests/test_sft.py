@@ -136,6 +136,13 @@ def test_parse_json_rejects_garbage_and_mismatch():
         parse_matrix_json('{"rows": [[1,1],[1,0]]}')
 
 
+def test_parse_json_rejects_boolean_n():
+    # bool is a subclass of int, so True would otherwise pass as n = 1
+    for text in ('{"n": true, "rows": [[1]]}', '{"n": false, "rows": []}'):
+        with pytest.raises(MatrixFormatError, match='"n" must be an integer'):
+            parse_matrix_json(text)
+
+
 def test_parse_text_rejects_garbage():
     assert parse_matrix_text("1 1\n1 0\n") == FIB
     with pytest.raises(MatrixFormatError):

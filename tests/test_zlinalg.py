@@ -162,3 +162,27 @@ def test_cokernel_finite_iff_full_rank():
         assert grp.is_finite() == (determinant(m) != 0)
         if grp.is_finite():
             assert grp.order() == abs(determinant(m))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(min_value=-9, max_value=9), min_size=cols, max_size=cols),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_invariants_match_sympy_oracle(rows):
+    # an independent implementation: sympy's invariant factors over ZZ
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    m = IntMatrix.from_rows(rows)
+    factors = [abs(int(d)) for d in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
+    rank = sum(1 for d in factors if d)
+    assert cokernel(m, m.rows) == FGAbelianGroup(
+        m.rows - rank, tuple(d for d in factors if d >= 2)
+    )
+    assert len(kernel_basis(m)) == m.cols - rank
