@@ -11,12 +11,9 @@ up to vacuum-sector corrections.
 
 from .ckalg import (
     AlgebraTag,
-    CKElement,
     LAURENT,
     TensorElement,
     alpha_bar,
-    ck_adjoint,
-    ck_equal,
     ck_generator,
     ck_monomial,
     ck_multiply,
@@ -24,7 +21,6 @@ from .ckalg import (
     o_a,
     o_at,
     tensor_equal,
-    tensor_multiply,
     theta,
     verify_w,
     w_element,
@@ -57,7 +53,6 @@ from .sft import (
     is_aperiodic,
     load_matrix,
     satisfies_cantor_condition,
-    transpose,
     validate_matrix,
 )
 from .zlinalg import FGAbelianGroup, IntMatrix, SmithForm, cokernel, kernel_basis, smith_normal_form

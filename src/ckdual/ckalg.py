@@ -1,4 +1,4 @@
-"""Symbolic Cuntz-Krieger algebra elements in s_mu s_nu* normal form.
+"""Symbolic elements of Cuntz-Krieger algebras and their tensor products.
 
 The algebra attached to a defining matrix A is generated by partial
 isometries s_1, ..., s_n subject to
@@ -8,9 +8,15 @@ isometries s_1, ..., s_n subject to
     ii) s_k* s_k = sum_i A[k][i] s_i s_i*.
 
 Every finite product of generators and adjoints reduces to a linear
-combination of words s_mu s_nu* with mu, nu admissible; elements are stored
-as exact-rational linear combinations of such pairs.  Equality is decided by
-expanding both sides to a common word level, using the derived identity
+combination of words s_mu s_nu* with mu, nu admissible.  A tensor element
+over several such algebras (plus an optional circle-algebra factor holding
+Laurent powers of z) is an exact-rational combination of elementary tensors,
+each keyed by one normal-form pair (mu, nu) per algebra factor and one
+z-power per circle factor.  An element of O_A is a one-factor tensor
+element: ``factors == (tag,)`` and keys ``((mu, nu),)``.
+
+Zero is decided by expanding each algebra factor to the maximum word length
+it carries, using the derived identity
 
     s_mu s_nu* = sum_k A[mu_end][k] A[nu_end][k] s_{mu k} s_{nu k}*,
 
@@ -19,10 +25,6 @@ continuation are zero and are pruned first.  Completeness of this test rests
 on linear independence of the level-normalized nonzero pairs, which holds
 under the Cantor-set hypothesis on the shift and is cross-checked against the
 Fock word model in the test suite.
-
-Tensor elements over several such algebras (plus an optional circle-algebra
-factor holding Laurent powers of z) use the same representation factorwise.
-Coefficients are exact rationals throughout.
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ from functools import lru_cache
 
 from .sft import ZeroOneMatrix, is_admissible, word_str
 
-
-class LevelTooSmallError(ValueError):
-    pass
+# Bound on the memoized zero-test verdicts; one lemma report needs far fewer.
+_ZERO_TEST_CACHE_SIZE = 4096
 
 
 class SignatureMismatchError(ValueError):
@@ -69,6 +70,14 @@ def o_a(a: ZeroOneMatrix) -> AlgebraTag:
 
 def o_at(a: ZeroOneMatrix) -> AlgebraTag:
     return AlgebraTag(a.transpose(), "t")
+
+
+def _is_ck(factor) -> bool:
+    return isinstance(factor, AlgebraTag)
+
+
+def _unit_key(factor):
+    return ((), ()) if _is_ck(factor) else 0
 
 
 def _pair_product(a: ZeroOneMatrix, mu, nu, al, be):
@@ -120,173 +129,25 @@ def _expand_once(a: ZeroOneMatrix, mu, nu):
     return [((k,), (k,)) for k in range(a.n)]
 
 
-def _expand_to_level(a: ZeroOneMatrix, terms, level: int):
-    """Rewrite so every pair has min(|mu|, |nu|) == level, pruning zero pairs."""
+def _expand_position(a: ZeroOneMatrix, terms, pos: int):
+    """Rewrite the pairs at position pos so that every one has min(|mu|, |nu|)
+    equal to the longest word there, pruning zero pairs."""
+    level = max(max(len(keys[pos][0]), len(keys[pos][1])) for keys in terms)
+    if level == 0:
+        return terms
     out = {}
     stack = list(terms.items())
     while stack:
-        (mu, nu), c = stack.pop()
+        keys, c = stack.pop()
+        mu, nu = keys[pos]
         if min(len(mu), len(nu)) >= level:
-            if mu and nu and not any(
-                a.entry(mu[-1], k) and a.entry(nu[-1], k) for k in range(a.n)
-            ):
+            if not any(a.entry(mu[-1], k) and a.entry(nu[-1], k) for k in range(a.n)):
                 continue
-            out[(mu, nu)] = out.get((mu, nu), Fraction(0)) + c
+            out[keys] = out.get(keys, Fraction(0)) + c
         else:
-            for key in _expand_once(a, mu, nu):
-                stack.append((key, c))
+            for pair in _expand_once(a, mu, nu):
+                stack.append((keys[:pos] + (pair,) + keys[pos + 1:], c))
     return {k: v for k, v in out.items() if v}
-
-
-class CKElement:
-    """An exact-rational combination of normal-form pairs s_mu s_nu*.
-
-    ``==`` compares stored terms; use :func:`ck_equal` for equality in the
-    algebra.
-    """
-
-    __slots__ = ("tag", "terms")
-
-    def __init__(self, tag: AlgebraTag, terms):
-        self.tag = tag
-        self.terms = {k: v for k, v in terms.items() if v}
-
-    def _items(self):
-        return tuple(sorted(self.terms.items()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CKElement)
-            and self.tag == other.tag
-            and self._items() == other._items()
-        )
-
-    def __hash__(self):
-        return hash((self.tag, self._items()))
-
-    def __add__(self, other):
-        _same_tag(self, other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return CKElement(self.tag, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CKElement(self.tag, {k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, CKElement):
-            return ck_multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c) -> "CKElement":
-        c = Fraction(c)
-        return CKElement(self.tag, {k: c * v for k, v in self.terms.items()})
-
-    def adjoint(self) -> "CKElement":
-        return CKElement(self.tag, {(nu, mu): v for (mu, nu), v in self.terms.items()})
-
-    def max_word_len(self) -> int:
-        return max((max(len(mu), len(nu)) for mu, nu in self.terms), default=0)
-
-    def is_structurally_zero(self) -> bool:
-        return not self.terms
-
-    def __str__(self) -> str:
-        return render_terms(self.tag.symbol, self.terms)
-
-    def __repr__(self) -> str:
-        return f"CKElement({self.tag.symbol}: {self})"
-
-
-def _same_tag(x: CKElement, y: CKElement):
-    if x.tag != y.tag:
-        raise SignatureMismatchError("elements live in different algebras")
-
-
-def ck_zero(tag: AlgebraTag) -> CKElement:
-    return CKElement(tag, {})
-
-
-def ck_unit(tag: AlgebraTag) -> CKElement:
-    return CKElement(tag, {((), ()): Fraction(1)})
-
-
-def ck_generator(tag: AlgebraTag, k: int) -> CKElement:
-    """The generator s_k (k is 1-based, matching rendered reports)."""
-    if not 1 <= k <= tag.matrix.n:
-        raise ValueError(f"letter {k} out of range 1..{tag.matrix.n}")
-    return CKElement(tag, {(((k - 1),), ()): Fraction(1)})
-
-
-def ck_monomial(tag: AlgebraTag, mu, nu, coeff=1) -> CKElement:
-    """coeff * s_mu s_nu* with 0-based words (validated for admissibility)."""
-    mu, nu = tuple(mu), tuple(nu)
-    for w in (mu, nu):
-        if any(not 0 <= i < tag.matrix.n for i in w) or not is_admissible(tag.matrix, w):
-            raise ValueError(f"word {w} is not admissible for this matrix")
-    return CKElement(tag, {(mu, nu): Fraction(coeff)})
-
-
-def ck_multiply(x: CKElement, y: CKElement) -> CKElement:
-    _same_tag(x, y)
-    a = x.tag.matrix
-    out = {}
-    for (mu, nu), c1 in x.terms.items():
-        for (al, be), c2 in y.terms.items():
-            for key in _pair_product(a, mu, nu, al, be):
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return CKElement(x.tag, out)
-
-
-def ck_adjoint(x: CKElement) -> CKElement:
-    return x.adjoint()
-
-
-def ck_equal(x: CKElement, y: CKElement, level: int) -> bool:
-    """Equality in the algebra, decided at the given expansion level."""
-    _same_tag(x, y)
-    maxlen = max(x.max_word_len(), y.max_word_len())
-    if level < maxlen:
-        raise LevelTooSmallError(f"level {level} < maximum word length {maxlen}")
-    diff = x - y
-    if not diff.terms:
-        return True
-    return not _expand_to_level(x.tag.matrix, diff.terms, level)
-
-
-@lru_cache(maxsize=None)
-def _is_zero_cached(tag: AlgebraTag, items) -> bool:
-    terms = dict(items)
-    maxlen = max((max(len(mu), len(nu)) for mu, nu in terms), default=0)
-    if maxlen == 0:
-        return not any(terms.values())
-    return not _expand_to_level(tag.matrix, terms, maxlen)
-
-
-def ck_is_zero(x: CKElement) -> bool:
-    """Zero test in the algebra at the automatic level max(1, word length)."""
-    if not x.terms:
-        return True
-    return _is_zero_cached(x.tag, x._items())
-
-
-# ---------------------------------------------------------------------------
-# tensor elements
-
-
-def _is_ck(factor) -> bool:
-    return isinstance(factor, AlgebraTag)
-
-
-def _unit_key(factor):
-    return ((), ()) if _is_ck(factor) else 0
 
 
 class TensorElement:
@@ -294,7 +155,8 @@ class TensorElement:
 
     Factors are :class:`AlgebraTag` instances or the :data:`LAURENT` marker;
     keys are normal-form pairs (mu, nu) for algebra factors and integer
-    z-powers for the Laurent factor.
+    z-powers for the Laurent factor.  ``==`` compares stored terms; use
+    :func:`tensor_equal` for equality in the algebra.
     """
 
     __slots__ = ("factors", "terms")
@@ -303,18 +165,15 @@ class TensorElement:
         self.factors = tuple(factors)
         self.terms = {k: v for k, v in terms.items() if v}
 
-    def _items(self):
-        return tuple(sorted(self.terms.items(), key=_term_sort_key))
-
     def __eq__(self, other):
         return (
             isinstance(other, TensorElement)
             and self.factors == other.factors
-            and self._items() == other._items()
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.factors, self._items()))
+        return hash((self.factors, frozenset(self.terms.items())))
 
     def __add__(self, other):
         _same_factors(self, other)
@@ -331,7 +190,7 @@ class TensorElement:
 
     def __mul__(self, other):
         if isinstance(other, TensorElement):
-            return tensor_multiply(self, other)
+            return ck_multiply(self, other)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -342,16 +201,26 @@ class TensorElement:
         return TensorElement(self.factors, {k: c * v for k, v in self.terms.items()})
 
     def adjoint(self) -> "TensorElement":
-        out = {}
-        for keys, c in self.terms.items():
-            new = tuple(
-                ((k[1], k[0]) if _is_ck(f) else -k) for f, k in zip(self.factors, keys)
-            )
-            out[new] = out.get(new, Fraction(0)) + c
-        return TensorElement(self.factors, out)
+        return TensorElement(self.factors, {
+            tuple(((k[1], k[0]) if _is_ck(f) else -k) for f, k in zip(self.factors, keys)): c
+            for keys, c in self.terms.items()
+        })
+
+    def is_structurally_zero(self) -> bool:
+        return not self.terms
 
     def __str__(self) -> str:
-        return render_tensor(self)
+        if not self.terms:
+            return "0"
+        items = sorted(
+            self.terms.items(),
+            key=lambda kv: tuple(_key_sort(f, k) for f, k in zip(self.factors, kv[0])),
+        )
+        chunks = []
+        for keys, c in items:
+            body = " ⊗ ".join(_render_key(f, k) for f, k in zip(self.factors, keys))
+            chunks.append(_join_coeff(c, body))
+        return _assemble(chunks)
 
     def __repr__(self) -> str:
         return f"TensorElement({self})"
@@ -374,15 +243,38 @@ def tensor_elem(factors, keys, coeff=1) -> TensorElement:
     return TensorElement(factors, {tuple(keys): Fraction(coeff)})
 
 
-def embed_ck(factors, pos: int, x: CKElement) -> TensorElement:
-    """1 (x) ... (x) x (x) ... (x) 1 with x in position pos."""
-    if not _is_ck(factors[pos]) or factors[pos] != x.tag:
+def ck_zero(tag: AlgebraTag) -> TensorElement:
+    return tensor_zero((tag,))
+
+
+def ck_unit(tag: AlgebraTag) -> TensorElement:
+    return tensor_unit((tag,))
+
+
+def ck_generator(tag: AlgebraTag, k: int) -> TensorElement:
+    """The generator s_k (k is 1-based, matching rendered reports)."""
+    if not 1 <= k <= tag.matrix.n:
+        raise ValueError(f"letter {k} out of range 1..{tag.matrix.n}")
+    return tensor_elem((tag,), (((k - 1,), ()),))
+
+
+def ck_monomial(tag: AlgebraTag, mu, nu, coeff=1) -> TensorElement:
+    """coeff * s_mu s_nu* with 0-based words (validated for admissibility)."""
+    mu, nu = tuple(mu), tuple(nu)
+    for w in (mu, nu):
+        if any(not 0 <= i < tag.matrix.n for i in w) or not is_admissible(tag.matrix, w):
+            raise ValueError(f"word {w} is not admissible for this matrix")
+    return tensor_elem((tag,), ((mu, nu),), coeff)
+
+
+def embed_ck(factors, pos: int, x: TensorElement) -> TensorElement:
+    """1 (x) ... (x) x (x) ... (x) 1 with the O_A element x in position pos."""
+    if x.factors != (factors[pos],) or not _is_ck(factors[pos]):
         raise SignatureMismatchError("element does not match the factor at this position")
-    out = {}
     unit = tuple(_unit_key(f) for f in factors)
-    for key, c in x.terms.items():
-        out[unit[:pos] + (key,) + unit[pos + 1:]] = c
-    return TensorElement(factors, out)
+    return TensorElement(
+        factors, {unit[:pos] + keys + unit[pos + 1:]: c for keys, c in x.terms.items()}
+    )
 
 
 def z_power(factors, pos: int, d: int, coeff=1) -> TensorElement:
@@ -392,7 +284,8 @@ def z_power(factors, pos: int, d: int, coeff=1) -> TensorElement:
     return TensorElement(factors, {unit[:pos] + (d,) + unit[pos + 1:]: Fraction(coeff)})
 
 
-def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
+def ck_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
+    """The product xy; both factor signatures must agree."""
     _same_factors(x, y)
     out = {}
     for keys1, c1 in x.terms.items():
@@ -412,38 +305,28 @@ def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
     return TensorElement(x.factors, out)
 
 
-def tensor_adjoint(x: TensorElement) -> TensorElement:
-    return x.adjoint()
-
-
-def _expand_position(factors, terms, pos):
-    a = factors[pos].matrix
-    level = max((max(len(k[pos][0]), len(k[pos][1])) for k in terms), default=0)
-    if level == 0:
-        return terms
-    out = {}
-    for keys, c in terms.items():
-        mu, nu = keys[pos]
-        for key2, c2 in _expand_to_level(a, {(mu, nu): Fraction(1)}, level).items():
-            new = keys[:pos] + (key2,) + keys[pos + 1:]
-            out[new] = out.get(new, Fraction(0)) + c * c2
-    return {k: v for k, v in out.items() if v}
-
-
-def tensor_is_zero(x: TensorElement) -> bool:
-    """Zero test: expand each algebra factor to a uniform level, then compare."""
-    terms = x.terms
-    for pos, f in enumerate(x.factors):
+@lru_cache(maxsize=_ZERO_TEST_CACHE_SIZE)
+def _is_zero_cached(factors, items) -> bool:
+    terms = dict(items)
+    for pos, f in enumerate(factors):
         if not terms:
             return True
         if _is_ck(f):
-            terms = _expand_position(x.factors, terms, pos)
+            terms = _expand_position(f.matrix, terms, pos)
     return not terms
+
+
+def ck_is_zero(x: TensorElement) -> bool:
+    """Zero test in the algebra: expand each algebra factor to the longest
+    word it carries, then compare coefficients."""
+    if not x.terms:
+        return True
+    return _is_zero_cached(x.factors, frozenset(x.terms.items()))
 
 
 def tensor_equal(x: TensorElement, y: TensorElement) -> bool:
     _same_factors(x, y)
-    return tensor_is_zero(x - y)
+    return ck_is_zero(x - y)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +355,8 @@ def verify_w(a: ZeroOneMatrix) -> bool:
     """Check w*w = ww* = sum_{i,j} A[i][j] s_j s_j* (x) t_i t_i*."""
     w = w_element(a)
     p = w_range_projection(a)
-    lhs = tensor_multiply(w.adjoint(), w)
-    rhs = tensor_multiply(w, w.adjoint())
+    lhs = ck_multiply(w.adjoint(), w)
+    rhs = ck_multiply(w, w.adjoint())
     return tensor_equal(lhs, p) and tensor_equal(rhs, p)
 
 
@@ -496,14 +379,14 @@ def theta(x: TensorElement) -> TensorElement:
     return TensorElement(x.factors, out)
 
 
-def forget_grading(x: TensorElement) -> CKElement:
+def forget_grading(x: TensorElement) -> TensorElement:
     """Evaluation z -> 1: collapse the Laurent factor of O_A (x) C(S^1)."""
     if len(x.factors) != 2 or not _is_ck(x.factors[0]) or _is_ck(x.factors[1]):
         raise SignatureMismatchError("expected an O_A (x) circle signature")
     out = {}
-    for ((mu, nu), _d), c in x.terms.items():
-        out[(mu, nu)] = out.get((mu, nu), Fraction(0)) + c
-    return CKElement(x.factors[0], out)
+    for (pair, _d), c in x.terms.items():
+        out[(pair,)] = out.get((pair,), Fraction(0)) + c
+    return TensorElement(x.factors[:1], out)
 
 
 def triple_factors(a: ZeroOneMatrix):
@@ -534,7 +417,7 @@ def alpha_bar(x: TensorElement) -> TensorElement:
         return alpha_z(a)
     if d == 0 and len(mu) == 1 and nu == ():
         gen = tensor_elem(triple_factors(a), (((mu[0],), ()), ((), ()), ((), ())))
-        return tensor_multiply(alpha_z(a), gen)
+        return ck_multiply(alpha_z(a), gen)
     raise UnsupportedGeneratorError("not a generator: " + str(x))
 
 
@@ -542,25 +425,17 @@ def alpha_bar(x: TensorElement) -> TensorElement:
 # rendering
 
 
-def _fmt_coeff(c: Fraction) -> str:
-    return str(c)
-
-
-def _render_pair(symbol: str, mu, nu) -> str:
-    parts = [f"{symbol}[{word_str((i,))}]" for i in mu]
-    parts += [f"{symbol}[{word_str((i,))}]*" for i in reversed(nu)]
-    return "".join(parts) if parts else "1"
-
-
 def _render_key(factor, key) -> str:
     if _is_ck(factor):
-        return _render_pair(factor.symbol, key[0], key[1])
-    d = key
-    if d == 0:
+        mu, nu = key
+        parts = [f"{factor.symbol}[{word_str((i,))}]" for i in mu]
+        parts += [f"{factor.symbol}[{word_str((i,))}]*" for i in reversed(nu)]
+        return "".join(parts) if parts else "1"
+    if key == 0:
         return "1"
-    if d == 1:
+    if key == 1:
         return "z"
-    return f"z^{d}"
+    return f"z^{key}"
 
 
 def _key_sort(factor, key):
@@ -570,47 +445,12 @@ def _key_sort(factor, key):
     return (key,)
 
 
-def _term_sort_key(item):
-    keys, _c = item
-    return keys
-
-
-def render_terms(symbol: str, terms) -> str:
-    if not terms:
-        return "0"
-    items = sorted(terms.items(), key=lambda kv: _key_sort_single(kv[0]))
-    chunks = []
-    for (mu, nu), c in items:
-        body = _render_pair(symbol, mu, nu)
-        chunks.append(_join_coeff(c, body))
-    return _assemble(chunks)
-
-
-def _key_sort_single(key):
-    mu, nu = key
-    return (len(mu) - len(nu), mu, nu)
-
-
-def render_tensor(x: TensorElement) -> str:
-    if not x.terms:
-        return "0"
-    items = sorted(
-        x.terms.items(),
-        key=lambda kv: tuple(_key_sort(f, k) for f, k in zip(x.factors, kv[0])),
-    )
-    chunks = []
-    for keys, c in items:
-        body = " ⊗ ".join(_render_key(f, k) for f, k in zip(x.factors, keys))
-        chunks.append(_join_coeff(c, body))
-    return _assemble(chunks)
-
-
 def _join_coeff(c: Fraction, body: str) -> str:
     if c == 1:
         return body
     if c == -1:
         return f"-{body}"
-    return f"{_fmt_coeff(c)} {body}"
+    return f"{c} {body}"
 
 
 def _assemble(chunks) -> str:

@@ -29,6 +29,17 @@ def _load(args) -> sft.ZeroOneMatrix:
     return sft.load_matrix(args.matrix)
 
 
+def _warn_unless_cantor(a: sft.ZeroOneMatrix) -> None:
+    """Say on stderr when the operator constructions' assumption fails."""
+    if not sft.satisfies_cantor_condition(a):
+        print(
+            "warning: shift space is not a Cantor set "
+            "(reducible or permutation matrix); "
+            "the operator constructions assume the Cantor condition",
+            file=sys.stderr,
+        )
+
+
 def cmd_validate(args) -> int:
     a = _load(args)
     aperiodic = sft.is_aperiodic(a)
@@ -49,13 +60,7 @@ def cmd_validate(args) -> int:
         print(f"irreducible: {str(irreducible).lower()}")
         print(f"aperiodic: {str(aperiodic).lower()}")
         print(f"cantor: {str(cantor).lower()}")
-        if not cantor:
-            print(
-                "warning: shift space is not a Cantor set "
-                "(reducible or permutation matrix); "
-                "the operator constructions assume the Cantor condition",
-                file=sys.stderr,
-            )
+        _warn_unless_cantor(a)
     return EXIT_OK
 
 
@@ -75,10 +80,6 @@ def cmd_words(args) -> int:
         for w in words:
             print(sft.word_str(w) if w else "ε")
     return EXIT_OK
-
-
-def _group_str(g) -> str:
-    return str(g)
 
 
 def cmd_ktheory(args) -> int:
@@ -124,6 +125,7 @@ def cmd_duality(args) -> int:
 
 def cmd_fock_verify(args) -> int:
     a = _load(args)
+    _warn_unless_cantor(a)
     basis = fock.FockBasis(a, args.max_length)
     reports = fock.verify_creation_relations(basis, args.relation)
     if args.json:
@@ -148,6 +150,7 @@ def cmd_fock_verify(args) -> int:
 
 def cmd_lemma_verify(args) -> int:
     a = _load(args)
+    _warn_unless_cantor(a)
     basis = fock.FockBasis(a, args.max_length)
     report = dualitymod.verify_lemmas(basis, args.which)
     if args.json:
@@ -170,6 +173,7 @@ def cmd_lemma_verify(args) -> int:
 
 def cmd_pairing(args) -> int:
     a = _load(args)
+    _warn_unless_cantor(a)
     basis = fock.FockBasis(a, args.max_length)
     _x, report = fock.rotation_operator(basis)
     if args.json:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ckalg
-from .ckalg import CKElement, TensorElement, ck_is_zero, ck_unit
+from .ckalg import TensorElement, ck_is_zero, ck_unit
 from .fock import FockBasis, FockOperator, _star_expr, build_creation, identity, vacuum_projection
 from .sft import word_str
 
@@ -44,17 +44,16 @@ def _fingerprint(op: FockOperator):
 
 
 class HybridElement:
-    """Sum of (FockOperator, CKElement) pairs over a shared basis.
+    """Sum of (FockOperator, one-factor TensorElement) pairs over a shared basis.
 
     ``terms`` is merged by operator-matrix fingerprint; ``prov`` keeps the
     unmerged generator-expression provenance used by the quotient map.
     """
 
-    __slots__ = ("basis", "tag", "terms", "prov")
+    __slots__ = ("basis", "terms", "prov")
 
     def __init__(self, basis: FockBasis, terms, prov):
         self.basis = basis
-        self.tag = ckalg.o_a(basis.matrix)
         self.terms = _merge_terms(terms)
         self.prov = tuple(prov)
 
@@ -130,16 +129,12 @@ def hybrid_mul(x: HybridElement, y: HybridElement) -> HybridElement:
     return HybridElement(x.basis, terms, prov)
 
 
-def hybrid_adjoint(x: HybridElement) -> HybridElement:
-    return x.adjoint()
-
-
 def build_W(basis: FockBasis) -> HybridElement:
     """W = sum_i R_i (x) s_i*."""
     tag = ckalg.o_a(basis.matrix)
     pairs = []
     for i in range(basis.matrix.n):
-        s_i_star = CKElement(tag, {((), (i,)): Fraction(1)})
+        s_i_star = ckalg.ck_generator(tag, i + 1).adjoint()
         pairs.append((build_creation(basis, "right", i + 1), s_i_star))
     return hybrid(basis, pairs)
 
@@ -149,7 +144,7 @@ def left_creation_tensor_unit(basis: FockBasis, k: int) -> HybridElement:
     return hybrid(basis, [(build_creation(basis, "left", k), ck_unit(ckalg.o_a(basis.matrix)))])
 
 
-def vacuum_tensor(basis: FockBasis, ck: CKElement) -> HybridElement:
+def vacuum_tensor(basis: FockBasis, ck: TensorElement) -> HybridElement:
     """P (x) ck for the vacuum projection P."""
     return hybrid(basis, [(vacuum_projection(basis), ck)])
 
@@ -180,19 +175,23 @@ def hybrid_defects(x: HybridElement, y: HybridElement):
     """Columns of the shared valid domain where x and y differ; exact entries."""
     diff = x - y
     basis = diff.basis
+    factors = (ckalg.o_a(basis.matrix),)
     valid = min(x.valid_up_to, y.valid_up_to)
     defects = []
     for j, w in enumerate(basis.words):
         if len(w) > valid:
             break
-        rows = {}
+        rows = {}  # row index -> coefficients of the symbolic entry
         for op, ck in diff.terms:
             for i, v in op.column(j).items():
-                rows[i] = rows.get(i, ckalg.ck_zero(diff.tag)) + ck.scale(v)
+                row = rows.setdefault(i, {})
+                for key, c in ck.terms.items():
+                    row[key] = row.get(key, 0) + c * v
         entries = []
         for i in sorted(rows):
-            if not ck_is_zero(rows[i]):
-                entries.append((word_str(basis.words[i]), str(rows[i])))
+            entry = TensorElement(factors, rows[i])
+            if not ck_is_zero(entry):
+                entries.append((word_str(basis.words[i]), str(entry)))
         if entries:
             defects.append(DefectColumn(word_str(w), len(w), tuple(entries)))
     return valid, tuple(defects)
@@ -224,7 +223,7 @@ def _expr_quotient(expr, factors):
     if head == "prod":
         out = ckalg.tensor_unit(factors)
         for e in expr[1]:
-            out = ckalg.tensor_multiply(out, _expr_quotient(e, factors))
+            out = ckalg.ck_multiply(out, _expr_quotient(e, factors))
         return out
     if head == "scale":
         return _expr_quotient(expr[2], factors).scale(expr[1])
@@ -245,8 +244,8 @@ def quotient_image(x: HybridElement) -> TensorElement:
     for e, ck in x.prov:
         q = _expr_quotient(e, pair_factors)
         for keys, c in q.terms.items():
-            for (mu, nu), c2 in ck.terms.items():
-                key = keys + ((mu, nu),)
+            for key2, c2 in ck.terms.items():
+                key = keys + key2
                 out[key] = out.get(key, Fraction(0)) + c * c2
     return TensorElement(triple, out)
 
@@ -312,7 +311,9 @@ def _w_w_expansion(basis: FockBasis) -> HybridElement:
     pairs = []
     for j in range(a.n):
         r = build_creation(basis, "right", j + 1)
-        ck = CKElement(tag, {((i,), (i,)): Fraction(1) for i in range(a.n) if a.entry(j, i)})
+        ck = TensorElement(
+            (tag,), {(((i,), (i,)),): Fraction(1) for i in range(a.n) if a.entry(j, i)}
+        )
         pairs.append((r @ r.adjoint(), ck))
     pairs.append((vacuum_projection(basis), ck_unit(tag)))
     return hybrid(basis, pairs)
@@ -373,14 +374,14 @@ def verify_lemma_V(basis: FockBasis) -> LemmaReport:
     w = build_W(basis)
     w_star = w.adjoint()
     vs = [hybrid_mul(w_star, left_creation_tensor_unit(basis, k)) for k in range(1, a.n + 1)]
-    alpha_conj = ckalg.tensor_adjoint(ckalg.alpha_z(a))
+    alpha_conj = ckalg.alpha_z(a).adjoint()
     items = []
     for k in range(1, a.n + 1):
         items.append(
             _symbolic_item(
                 f"i(k={k})",
                 quotient_image(vs[k - 1]),
-                ckalg.tensor_multiply(alpha_conj, _generator_triple(a, k)),
+                ckalg.ck_multiply(alpha_conj, _generator_triple(a, k)),
                 note="compared against the adjoint circle transport",
             )
         )

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ckalg import CKElement
 from .sft import ZeroOneMatrix, enumerate_words, word_str
 
 
@@ -179,9 +178,6 @@ class FockOperator:
             self.lower_len, self.raise_len, _star_expr(self.expr),
         )
 
-    def apply_basis_vector(self, j: int) -> dict:
-        return dict(self.cols.get(j, {}))
-
     def __eq__(self, other):
         return (
             isinstance(other, FockOperator)
@@ -235,10 +231,6 @@ def build_creation(basis: FockBasis, side: str, k: int) -> FockOperator:
         cols[j] = {basis.index[new]: 1}
     head = "L" if side == "left" else "R"
     return FockOperator(basis, cols, basis.m_max - 1, basis.m_max, 1, 0, (head, k0))
-
-
-def adjoint(op: FockOperator) -> FockOperator:
-    return op.adjoint()
 
 
 def commutator(x: FockOperator, y: FockOperator) -> FockOperator:
@@ -468,11 +460,12 @@ def pair_action_on_word(a: ZeroOneMatrix, mu, nu, w):
     return w
 
 
-def ck_action_on_word(x: CKElement, w) -> dict:
-    """Image of xi_w under the word-model evaluation of x, as {word: coeff}."""
-    a = x.tag.matrix
+def ck_action_on_word(x, w) -> dict:
+    """Image of xi_w under the word-model evaluation of the O_A element x (a
+    one-factor tensor element), as {word: coeff}."""
+    a = x.factors[0].matrix
     out = {}
-    for (mu, nu), c in x.terms.items():
+    for ((mu, nu),), c in x.terms.items():
         img = pair_action_on_word(a, mu, nu, w)
         if img is not None:
             t = out.get(img, Fraction(0)) + c

@@ -124,15 +124,14 @@ def duality_report(a: ZeroOneMatrix) -> DualityReport:
     the Smith form are its transform postconditions and the invariance of
     K-theory under conjugacy (higher-block presentations).
     """
-    k0_pres = one_minus_transpose(a)
-    khom1_at_pres = one_minus(a.transpose())
-    k1_pres = one_minus_transpose(a)
-    khom0_at_pres = one_minus(a.transpose())
-    coker_a = cokernel(one_minus(a), a.n)
-    coker_at = cokernel(one_minus_transpose(a), a.n)
+    pres = one_minus(a)
+    pres_t = one_minus_transpose(a)
+    match = one_minus(a.transpose()).entries == pres_t.entries
+    coker_a = cokernel(pres, a.n)
+    coker_at = cokernel(pres_t, a.n)
     return DualityReport(
-        presentation_match_K0_Khom1=(k0_pres.entries == khom1_at_pres.entries),
-        presentation_match_K1_Khom0=(k1_pres.entries == khom0_at_pres.entries),
+        presentation_match_K0_Khom1=match,
+        presentation_match_K1_Khom0=match,
         abstract_iso_cokernels=(
             coker_a.free_rank == coker_at.free_rank and coker_a.torsion == coker_at.torsion
         ),

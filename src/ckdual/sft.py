@@ -96,10 +96,6 @@ def validate_matrix(raw) -> ZeroOneMatrix:
     return ZeroOneMatrix(n, tuple(tuple(r) for r in rows))
 
 
-def transpose(a: ZeroOneMatrix) -> ZeroOneMatrix:
-    return a.transpose()
-
-
 def _successors(a: ZeroOneMatrix):
     return [tuple(j for j in range(a.n) if a.entry(i, j)) for i in range(a.n)]
 

@@ -114,12 +114,16 @@ def random_ck(rng: random.Random, tag: ckalg.AlgebraTag, max_terms: int = 3, max
 
 
 def max_nu_len(x) -> int:
-    return max((len(nu) for _mu, nu in x.terms), default=0)
+    return max((len(nu) for ((_mu, nu),) in x.terms), default=0)
+
+
+def max_word_len(x) -> int:
+    return max((max(len(mu), len(nu)) for ((mu, nu),) in x.terms), default=0)
 
 
 def word_model_images_agree(x, y, length: int) -> bool:
     """Word-model images of x and y agree on every column of the given length."""
-    a = x.tag.matrix
+    a = x.factors[0].matrix
     return all(
         ck_action_on_word(x, w) == ck_action_on_word(y, w)
         for w in enumerate_words(a, length)
@@ -133,7 +137,7 @@ def oracle_confirms_equality_verdict(x, y, verdict: bool) -> bool:
     column at least as long as their words; unequal elements must differ on
     some column of length in [D, 2D+1] where D bounds the word lengths.
     """
-    d = max(x.max_word_len(), y.max_word_len(), 1)
+    d = max(max_word_len(x), max_word_len(y), 1)
     agree = all(word_model_images_agree(x, y, length) for length in range(d, 2 * d + 2))
     return agree == verdict
 
@@ -145,7 +149,7 @@ def product_matches_composition(x, y, lengths=None) -> bool:
     most max_nu(x) + max_nu(y); beyond that the composed action of y then x
     must match the action of the reduced product exactly.
     """
-    a = x.tag.matrix
+    a = x.factors[0].matrix
     prod = ckalg.ck_multiply(x, y)
     lo = max_nu_len(x) + max_nu_len(y) + 1
     if lengths is None:

@@ -184,3 +184,39 @@ def test_text_format_matrix_accepted(capsys, tmp_path):
     code, out, _err = run(capsys, "validate", "--matrix", str(p))
     assert code == 0
     assert "valid: true" in out
+
+
+@pytest.fixture
+def ident2_file(tmp_path):
+    p = tmp_path / "ident2.json"
+    p.write_text('{"n": 2, "rows": [[1, 0], [0, 1]]}')
+    return str(p)
+
+
+# Exit codes of the operator commands on SWAP and IDENT2; the Cantor warning
+# goes to stderr and leaves them, and stdout, as they are.
+NON_CANTOR_EXITS = [
+    (["fock-verify"], 1),
+    (["lemma-verify", "--which", "W"], 1),
+    (["lemma-verify", "--which", "V"], 0),
+    (["lemma-verify", "--which", "toeplitz"], 0),
+    (["pairing"], 0),
+]
+
+
+@pytest.mark.parametrize("matrix", ["swap_file", "ident2_file"])
+@pytest.mark.parametrize("argv, exit_code", NON_CANTOR_EXITS)
+def test_operator_commands_warn_without_cantor_condition(
+    capsys, request, matrix, argv, exit_code
+):
+    path = request.getfixturevalue(matrix)
+    code, out, err = run(capsys, argv[0], "--matrix", path, *argv[1:], "--json")
+    assert code == exit_code
+    assert json.loads(out)
+    assert err.startswith("warning: shift space is not a Cantor set")
+
+
+@pytest.mark.parametrize("argv, _exit_code", NON_CANTOR_EXITS)
+def test_operator_commands_silent_on_cantor_matrix(capsys, fib_file, argv, _exit_code):
+    _code, _out, err = run(capsys, argv[0], "--matrix", fib_file, *argv[1:], "--json")
+    assert err == ""

@@ -226,7 +226,7 @@ def test_word_model_matches_truncated_matrices():
     for x in elems:
         # build L_mu L_nu* from atoms: L_mu = L_{mu_1} ... L_{mu_m}
         op = zero(b)
-        for (mu, nu), c in x.terms.items():
+        for ((mu, nu),), c in x.terms.items():
             term = identity(b)
             for k0 in mu:
                 term = term @ build_creation(b, "left", k0 + 1)
