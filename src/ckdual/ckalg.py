@@ -10,10 +10,11 @@ isometries s_1, ..., s_n subject to
 Every finite product of generators and adjoints reduces to a linear
 combination of words s_mu s_nu* with mu, nu admissible.  A tensor element
 over several such algebras (plus an optional circle-algebra factor holding
-Laurent powers of z) is an exact-rational combination of elementary tensors,
-each keyed by one normal-form pair (mu, nu) per algebra factor and one
-z-power per circle factor.  An element of O_A is a one-factor tensor
-element: ``factors == (tag,)`` and keys ``((mu, nu),)``.
+Laurent powers of z) is an exact combination of elementary tensors, each
+keyed by one normal-form pair (mu, nu) per algebra factor and one z-power per
+circle factor.  Coefficients are ints unless a caller supplies another
+number, which is stored as an exact ``Fraction``.  An element of O_A is a
+one-factor tensor element: ``factors == (tag,)`` and keys ``((mu, nu),)``.
 
 Zero is decided by expanding each algebra factor to the maximum word length
 it carries, using the derived identity
@@ -80,6 +81,11 @@ def _unit_key(factor):
     return ((), ()) if _is_ck(factor) else 0
 
 
+def _coeff(c):
+    """Keep an int coefficient an int; read anything else as an exact rational."""
+    return c if isinstance(c, int) else Fraction(c)
+
+
 def _pair_product(a: ZeroOneMatrix, mu, nu, al, be):
     """Normal-form keys of (s_mu s_nu*)(s_al s_be*); every coefficient is 1.
 
@@ -143,7 +149,7 @@ def _expand_position(a: ZeroOneMatrix, terms, pos: int):
         if min(len(mu), len(nu)) >= level:
             if not any(a.entry(mu[-1], k) and a.entry(nu[-1], k) for k in range(a.n)):
                 continue
-            out[keys] = out.get(keys, Fraction(0)) + c
+            out[keys] = out.get(keys, 0) + c
         else:
             for pair in _expand_once(a, mu, nu):
                 stack.append((keys[:pos] + (pair,) + keys[pos + 1:], c))
@@ -179,7 +185,7 @@ class TensorElement:
         _same_factors(self, other)
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return TensorElement(self.factors, out)
 
     def __sub__(self, other):
@@ -197,7 +203,7 @@ class TensorElement:
         return self.scale(other)
 
     def scale(self, c) -> "TensorElement":
-        c = Fraction(c)
+        c = _coeff(c)
         return TensorElement(self.factors, {k: c * v for k, v in self.terms.items()})
 
     def adjoint(self) -> "TensorElement":
@@ -232,7 +238,7 @@ def _same_factors(x: TensorElement, y: TensorElement):
 
 
 def tensor_unit(factors) -> TensorElement:
-    return TensorElement(factors, {tuple(_unit_key(f) for f in factors): Fraction(1)})
+    return TensorElement(factors, {tuple(_unit_key(f) for f in factors): 1})
 
 
 def tensor_zero(factors) -> TensorElement:
@@ -240,7 +246,7 @@ def tensor_zero(factors) -> TensorElement:
 
 
 def tensor_elem(factors, keys, coeff=1) -> TensorElement:
-    return TensorElement(factors, {tuple(keys): Fraction(coeff)})
+    return TensorElement(factors, {tuple(keys): _coeff(coeff)})
 
 
 def ck_zero(tag: AlgebraTag) -> TensorElement:
@@ -281,7 +287,7 @@ def z_power(factors, pos: int, d: int, coeff=1) -> TensorElement:
     if _is_ck(factors[pos]):
         raise SignatureMismatchError("position is not the Laurent factor")
     unit = tuple(_unit_key(f) for f in factors)
-    return TensorElement(factors, {unit[:pos] + (d,) + unit[pos + 1:]: Fraction(coeff)})
+    return TensorElement(factors, {unit[:pos] + (d,) + unit[pos + 1:]: _coeff(coeff)})
 
 
 def ck_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
@@ -301,7 +307,7 @@ def ck_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
             else:
                 c = c1 * c2
                 for combo in itertools.product(*per_factor):
-                    out[combo] = out.get(combo, Fraction(0)) + c
+                    out[combo] = out.get(combo, 0) + c
     return TensorElement(x.factors, out)
 
 
@@ -336,7 +342,7 @@ def tensor_equal(x: TensorElement, y: TensorElement) -> bool:
 def w_element(a: ZeroOneMatrix) -> TensorElement:
     """w = sum_i s_i* (x) t_i in O_A (x) O_{A^T}."""
     factors = (o_a(a), o_at(a))
-    terms = {(((), (i,)), ((i,), ())): Fraction(1) for i in range(a.n)}
+    terms = {(((), (i,)), ((i,), ())): 1 for i in range(a.n)}
     return TensorElement(factors, terms)
 
 
@@ -347,7 +353,7 @@ def w_range_projection(a: ZeroOneMatrix) -> TensorElement:
     for i in range(a.n):
         for j in range(a.n):
             if a.entry(i, j):
-                terms[(((j,), (j,)), ((i,), (i,)))] = Fraction(1)
+                terms[(((j,), (j,)), ((i,), (i,)))] = 1
     return TensorElement(factors, terms)
 
 
@@ -375,7 +381,7 @@ def theta(x: TensorElement) -> TensorElement:
     out = {}
     for ((mu, nu), d), c in x.terms.items():
         key = ((mu, nu), d + len(mu) - len(nu))
-        out[key] = out.get(key, Fraction(0)) + c
+        out[key] = out.get(key, 0) + c
     return TensorElement(x.factors, out)
 
 
@@ -385,7 +391,7 @@ def forget_grading(x: TensorElement) -> TensorElement:
         raise SignatureMismatchError("expected an O_A (x) circle signature")
     out = {}
     for (pair, _d), c in x.terms.items():
-        out[(pair,)] = out.get((pair,), Fraction(0)) + c
+        out[(pair,)] = out.get((pair,), 0) + c
     return TensorElement(x.factors[:1], out)
 
 
@@ -396,7 +402,7 @@ def triple_factors(a: ZeroOneMatrix):
 def alpha_z(a: ZeroOneMatrix) -> TensorElement:
     """Image of 1 (x) z in O_A (x) O_{A^T} (x) O_A: sum_i 1 (x) t_i (x) s_i*."""
     factors = triple_factors(a)
-    terms = {(((), ()), ((i,), ()), ((), (i,))): Fraction(1) for i in range(a.n)}
+    terms = {(((), ()), ((i,), ()), ((), (i,))): 1 for i in range(a.n)}
     return TensorElement(factors, terms)
 
 
@@ -445,7 +451,7 @@ def _key_sort(factor, key):
     return (key,)
 
 
-def _join_coeff(c: Fraction, body: str) -> str:
+def _join_coeff(c, body: str) -> str:
     if c == 1:
         return body
     if c == -1:

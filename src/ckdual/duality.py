@@ -27,11 +27,10 @@ engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import ckalg
 from .ckalg import TensorElement, ck_is_zero, ck_unit
-from .fock import FockBasis, FockOperator, _star_expr, build_creation, identity, vacuum_projection
+from .fock import FockBasis, _star_expr, build_creation, identity, vacuum_projection
 from .sft import word_str
 
 
@@ -39,15 +38,12 @@ class BasisMismatchError(ValueError):
     pass
 
 
-def _fingerprint(op: FockOperator):
-    return tuple(sorted((j, tuple(sorted(col.items()))) for j, col in op.cols.items()))
-
-
 class HybridElement:
     """Sum of (FockOperator, one-factor TensorElement) pairs over a shared basis.
 
-    ``terms`` is merged by operator-matrix fingerprint; ``prov`` keeps the
-    unmerged generator-expression provenance used by the quotient map.
+    ``terms`` is merged by operator value (``FockOperator`` equality and hash
+    are by matrix), in order of first appearance; ``prov`` keeps the unmerged
+    generator-expression provenance used by the quotient map.
     """
 
     __slots__ = ("basis", "terms", "prov")
@@ -75,9 +71,6 @@ class HybridElement:
             [(e, ck.scale(c)) for e, ck in self.prov],
         )
 
-    def __mul__(self, other):
-        return hybrid_mul(self, other)
-
     def adjoint(self) -> "HybridElement":
         return HybridElement(
             self.basis,
@@ -92,20 +85,12 @@ class HybridElement:
 
 def _merge_terms(terms):
     merged = {}
-    order = []
     for op, ck in terms:
         if not op.cols or ck.is_structurally_zero():
             continue
-        fp = _fingerprint(op)
-        if fp in merged:
-            prev_op, prev_ck = merged[fp]
-            merged[fp] = (prev_op, prev_ck + ck)
-        else:
-            merged[fp] = (op, ck)
-            order.append(fp)
-    return tuple(
-        merged[fp] for fp in order if not merged[fp][1].is_structurally_zero()
-    )
+        prev = merged.get(op)
+        merged[op] = ck if prev is None else prev + ck
+    return tuple((op, ck) for op, ck in merged.items() if not ck.is_structurally_zero())
 
 
 def hybrid(basis: FockBasis, pairs) -> HybridElement:
@@ -246,7 +231,7 @@ def quotient_image(x: HybridElement) -> TensorElement:
         for keys, c in q.terms.items():
             for key2, c2 in ck.terms.items():
                 key = keys + key2
-                out[key] = out.get(key, Fraction(0)) + c * c2
+                out[key] = out.get(key, 0) + c * c2
     return TensorElement(triple, out)
 
 
@@ -312,7 +297,7 @@ def _w_w_expansion(basis: FockBasis) -> HybridElement:
     for j in range(a.n):
         r = build_creation(basis, "right", j + 1)
         ck = TensorElement(
-            (tag,), {(((i,), (i,)),): Fraction(1) for i in range(a.n) if a.entry(j, i)}
+            (tag,), {(((i,), (i,)),): 1 for i in range(a.n) if a.entry(j, i)}
         )
         pairs.append((r @ r.adjoint(), ck))
     pairs.append((vacuum_projection(basis), ck_unit(tag)))

@@ -24,7 +24,6 @@ boolean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .sft import ZeroOneMatrix, enumerate_words, word_str
 
@@ -79,9 +78,13 @@ class FockOperator:
     much the operator can lengthen/shorten a word; products adjust the valid
     domain by the inner factor's raise.  ``expr`` records how the operator was
     assembled from generators (used by the hybrid quotient map).
+
+    Operators are immutable.  Equality and hash are by matrix on the same
+    basis, whatever the bounds or ``expr``; the hash is cached on first use.
     """
 
-    __slots__ = ("basis", "cols", "valid_up_to", "adj_valid", "raise_len", "lower_len", "expr")
+    __slots__ = ("basis", "cols", "valid_up_to", "adj_valid", "raise_len", "lower_len", "expr",
+                 "_hash")
 
     def __init__(self, basis, cols, valid_up_to, adj_valid, raise_len, lower_len, expr):
         self.basis = basis
@@ -91,12 +94,10 @@ class FockOperator:
         self.raise_len = raise_len
         self.lower_len = lower_len
         self.expr = expr
+        self._hash = None
 
     def column(self, j: int) -> dict:
         return self.cols.get(j, {})
-
-    def entry(self, i: int, j: int) -> int:
-        return self.cols.get(j, {}).get(i, 0)
 
     def _same_basis(self, other):
         if self.basis is not other.basis:
@@ -186,7 +187,9 @@ class FockOperator:
         )
 
     def __hash__(self):
-        return id(self)
+        if self._hash is None:
+            self._hash = hash(frozenset((j, frozenset(c.items())) for j, c in self.cols.items()))
+        return self._hash
 
 
 def zero(basis: FockBasis) -> FockOperator:
@@ -468,7 +471,7 @@ def ck_action_on_word(x, w) -> dict:
     for ((mu, nu),), c in x.terms.items():
         img = pair_action_on_word(a, mu, nu, w)
         if img is not None:
-            t = out.get(img, Fraction(0)) + c
+            t = out.get(img, 0) + c
             if t:
                 out[img] = t
             else:
@@ -478,12 +481,12 @@ def ck_action_on_word(x, w) -> dict:
 
 def ck_compose_on_word(elems, w) -> dict:
     """Apply a composition x_1 ∘ ... ∘ x_m (rightmost first) to xi_w."""
-    vec = {tuple(w): Fraction(1)}
+    vec = {tuple(w): 1}
     for x in reversed(list(elems)):
         nxt = {}
         for word, c in vec.items():
             for img, c2 in ck_action_on_word(x, word).items():
-                t = nxt.get(img, Fraction(0)) + c * c2
+                t = nxt.get(img, 0) + c * c2
                 if t:
                     nxt[img] = t
                 else:

@@ -211,6 +211,8 @@ def parse_matrix_json(text: str) -> ZeroOneMatrix:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MatrixFormatError("invalid JSON: nested too deeply") from exc
     if not isinstance(obj, dict) or set(obj) != {"n", "rows"}:
         raise MatrixFormatError('expected an object with exactly the keys "n" and "rows"')
     n, rows = obj["n"], obj["rows"]
@@ -251,7 +253,10 @@ def parse_matrix_text(text: str) -> ZeroOneMatrix:
 def load_matrix(path: str) -> ZeroOneMatrix:
     """Load a defining matrix from a JSON or plain-text file."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(f"matrix file is not UTF-8: {exc}") from exc
     if text.lstrip().startswith("{"):
         return parse_matrix_json(text)
     return parse_matrix_text(text)

@@ -2,9 +2,10 @@
 
 ``bench/tracer.py`` wraps ckdual functions by name and reads the zero-test
 cache statistics.  A rename in ckdual would make ``--trace 1`` fail only when
-the benchmark runs, so this test runs the traced hybrid-lemmas calls the way
-``bench/worker.py`` does and applies the tracer's own self-check.  It runs in
-a subprocess so that the wrappers never reach this test process.
+the benchmark runs, so this test runs traced calls of each command family the
+way ``bench/worker.py`` does and applies the tracer's own self-check for the
+workload that family belongs to, including its fixed per-call counts.  It runs
+in a subprocess so that the wrappers never reach this test process.
 """
 
 import json
@@ -12,38 +13,56 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = r"""
 import json, os, sys
-bench, src, matrix, tmp = sys.argv[1:]
+bench, src, workload, calls, tmp = sys.argv[1:]
 sys.path[:0] = [bench, src]
 from ckdual import cli
 import tracer, worker
 
 records = []
-for which in ("W", "V", "toeplitz"):
-    argv = ["lemma-verify", "--matrix", matrix, "--which", which, "--max-length", "4", "--json"]
-    rec = worker._invoke({"cli": cli}, os.path.join(tmp, which), argv, True)
+for i, argv in enumerate(json.loads(calls)):
+    rec = worker._invoke({"cli": cli}, os.path.join(tmp, str(i)), argv, True)
     if rec["rc"] not in (0, 1):
         with open(rec["stem"] + ".err", encoding="utf-8") as fh:
-            sys.exit(f"lemma-verify {which} exited {rec['rc']}: {fh.read()}")
+            sys.exit(f"{argv} exited {rec['rc']}: {fh.read()}")
     with open(rec["stem"] + ".out", "rb") as fh:
         rec["stdout_bytes"] = len(fh.read())
     with open(rec["dump_path"], encoding="utf-8") as fh:
         rec["dump"] = json.load(fh)
-    rec["label"] = which
+    rec["label"] = " ".join(argv[:1] + argv[3:])
     records.append(rec)
-print(json.dumps(tracer.self_check("hybrid-lemmas", tracer.layer_metrics(records))))
+print(json.dumps(tracer.self_check(workload, tracer.layer_metrics(records))))
 """
 
+M = ["--max-length", "4", "--json"]
 
-def test_tracer_self_check_on_hybrid_lemmas(tmp_path):
+# workload -> the calls of its command family, with MATRIX for the matrix file
+FAMILIES = {
+    "fock-relations": [
+        ["fock-verify", "--matrix", "MATRIX", "--relation", "all", *M],
+        ["pairing", "--matrix", "MATRIX", *M],
+    ],
+    "ktheory-sparse": [["ktheory", "--matrix", "MATRIX", "--duality", "--json"]],
+    "hybrid-lemmas": [
+        ["lemma-verify", "--matrix", "MATRIX", "--which", which, *M]
+        for which in ("W", "V", "toeplitz")
+    ],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(FAMILIES))
+def test_tracer_self_check(tmp_path, workload):
     matrix = tmp_path / "fib.json"
     matrix.write_text('{"n": 2, "rows": [[1, 1], [1, 0]]}')
+    calls = [[str(matrix) if a == "MATRIX" else a for a in argv] for argv in FAMILIES[workload]]
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "bench"), str(ROOT / "src"),
-         str(matrix), str(tmp_path)],
+         workload, json.dumps(calls), str(tmp_path)],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

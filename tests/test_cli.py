@@ -66,6 +66,24 @@ def test_missing_file_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("latin1.txt", b"1 1\n1 \xe9\n", "not UTF-8"),
+        ("deep.json", b'{"n": 1, "rows": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+         "nested too deeply"),
+    ],
+    ids=["not-utf8", "deep-json"],
+)
+def test_unreadable_matrix_file_exits_2(capsys, tmp_path, name, content, message):
+    p = tmp_path / name
+    p.write_bytes(content)
+    code, out, err = run(capsys, "validate", "--matrix", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_words(capsys, fib_file):
     code, out, _err = run(capsys, "words", "--matrix", fib_file, "--length", "2")
     assert code == 0

@@ -60,6 +60,29 @@ def test_single_letter_W():
     assert rep.holds
 
 
+def test_hybrid_merges_terms_by_operator_value():
+    b = FockBasis(FIB, 4)
+    tag = ckalg.o_a(FIB)
+    l1, l1_again = build_creation(b, "left", 1), build_creation(b, "left", 1)
+    s1, s2 = ckalg.ck_generator(tag, 1), ckalg.ck_generator(tag, 2)
+    x = hybrid(b, [(l1, s1), (l1_again, s2)])
+    assert len(x.terms) == 1
+    op, ck = x.terms[0]
+    assert op is l1
+    assert ck == s1 + s2
+    proj = l1 @ l1.adjoint()
+    assert hybrid(b, [(proj, s1), (l1_again @ l1_again.adjoint(), -s1)]).terms == ()
+
+
+def test_lemma_coefficients_stay_integers():
+    for a in (ones(2), FIB):
+        w = build_W(FockBasis(a, 4))
+        coeffs = [c for _op, ck in hybrid_mul(w.adjoint(), w).terms for c in ck.terms.values()]
+        coeffs += list(quotient_image(w).terms.values())
+        assert coeffs
+        assert all(type(c) is int for c in coeffs)
+
+
 def test_unit_law_in_hybrid():
     b = FockBasis(FIB, 4)
     w = build_W(b)

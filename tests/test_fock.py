@@ -84,6 +84,20 @@ def test_valid_up_to_bookkeeping():
     assert l1.adjoint().adjoint().valid_up_to == 3
 
 
+def test_equal_operators_hash_equal():
+    b = basis(FIB, 4)
+    l1, l1_again = build_creation(b, "left", 1), build_creation(b, "left", 1)
+    proj = l1 @ l1.adjoint()
+    proj_again = l1_again @ l1_again.adjoint()
+    for x, y in ((l1, l1_again), (proj, proj_again)):
+        assert x is not y
+        assert x == y
+        assert hash(x) == hash(y)
+        assert len({x, y}) == 1
+    assert l1 != build_creation(b, "left", 2)
+    assert len({l1, proj, build_creation(b, "right", 1)}) == 3
+
+
 def test_operator_entries_are_partial_permutations():
     for a in (ones(2), FIB, ones(3)):
         b = basis(a, 4)
