@@ -197,10 +197,7 @@ class TensorElement:
     def __mul__(self, other):
         if isinstance(other, TensorElement):
             return ck_multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        return NotImplemented
 
     def scale(self, c) -> "TensorElement":
         c = _coeff(c)

@@ -157,18 +157,27 @@ class DefectColumn:
 
 
 def hybrid_defects(x: HybridElement, y: HybridElement):
-    """Columns of the shared valid domain where x and y differ; exact entries."""
+    """Columns of the shared valid domain where x and y differ; exact entries.
+
+    Only columns that some term of ``x - y`` touches are visited, in basis
+    order.
+    """
     diff = x - y
     basis = diff.basis
     factors = (ckalg.o_a(basis.matrix),)
     valid = min(x.valid_up_to, y.valid_up_to)
+    end = basis.end_of_length(valid)
+    touched = set()
+    for op, _ck in diff.terms:
+        touched.update(j for j in op.cols if j < end)
     defects = []
-    for j, w in enumerate(basis.words):
-        if len(w) > valid:
-            break
+    for j in sorted(touched):
         rows = {}  # row index -> coefficients of the symbolic entry
         for op, ck in diff.terms:
-            for i, v in op.column(j).items():
+            col = op.cols.get(j)
+            if not col:
+                continue
+            for i, v in col.items():
                 row = rows.setdefault(i, {})
                 for key, c in ck.terms.items():
                     row[key] = row.get(key, 0) + c * v
@@ -178,6 +187,7 @@ def hybrid_defects(x: HybridElement, y: HybridElement):
             if not ck_is_zero(entry):
                 entries.append((word_str(basis.words[i]), str(entry)))
         if entries:
+            w = basis.words[j]
             defects.append(DefectColumn(word_str(w), len(w), tuple(entries)))
     return valid, tuple(defects)
 

@@ -19,6 +19,12 @@ agrees with the untruncated operator, and products, sums and adjoints
 propagate it.  Relation checks compare two operators only on the intersection
 of their valid domains and report exact defect columns instead of a bare
 boolean.
+
+Operators are immutable and share column dicts with each other: ``+`` keeps
+every column the other operand does not touch and copies a column only when
+it writes to it, and ``@`` reuses the left factor's column as the product
+column wherever the right factor's column is a single entry 1.  A column
+dict reached through ``cols`` or ``column`` must therefore never be mutated.
 """
 
 from __future__ import annotations
@@ -52,6 +58,10 @@ class FockBasis:
         start, end = self.sector_bounds[m]
         return range(start, end)
 
+    def end_of_length(self, m: int) -> int:
+        """Index one past the last word of length <= m (0 when m < 0)."""
+        return self.sector_bounds[min(m, self.m_max)][1] if m >= 0 else 0
+
 
 def _star_expr(expr):
     head = expr[0]
@@ -81,6 +91,13 @@ class FockOperator:
 
     Operators are immutable.  Equality and hash are by matrix on the same
     basis, whatever the bounds or ``expr``; the hash is cached on first use.
+    No stored column or entry is zero.
+
+    Column dicts are shared between operators and must never be mutated:
+    ``+`` shares every column of either operand that the sum leaves unchanged
+    and copies a column only when it writes to it, and ``@`` shares the left
+    factor's column for each single-entry column of the right factor (scaled
+    into a new dict unless the entry is 1).
     """
 
     __slots__ = ("basis", "cols", "valid_up_to", "adj_valid", "raise_len", "lower_len", "expr",
@@ -105,16 +122,23 @@ class FockOperator:
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
         self._same_basis(other)
-        cols = {j: dict(col) for j, col in self.cols.items()}
+        cols = dict(self.cols)
         for j, col in other.cols.items():
-            dst = cols.setdefault(j, {})
+            dst = cols.get(j)
+            if dst is None:
+                cols[j] = col
+                continue
+            dst = dict(dst)
             for i, v in col.items():
                 w = dst.get(i, 0) + v
                 if w:
                     dst[i] = w
                 else:
-                    dst.pop(i, None)
-        cols = {j: col for j, col in cols.items() if col}
+                    del dst[i]
+            if dst:
+                cols[j] = dst
+            else:
+                del cols[j]
         return FockOperator(
             self.basis,
             cols,
@@ -144,11 +168,18 @@ class FockOperator:
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         self._same_basis(other)
+        acols = self.cols
         cols = {}
         for j, bcol in other.cols.items():
+            if len(bcol) == 1:
+                ((mid, v),) = bcol.items()
+                acol = acols.get(mid)
+                if acol:
+                    cols[j] = acol if v == 1 else {i: v * w for i, w in acol.items()}
+                continue
             out = {}
             for mid, v in bcol.items():
-                acol = self.cols.get(mid)
+                acol = acols.get(mid)
                 if not acol:
                     continue
                 for i, w in acol.items():
@@ -270,21 +301,31 @@ class RelationReport:
 
 
 def verify_relation(relation: str, lhs: FockOperator, rhs: FockOperator) -> RelationReport:
-    """Compare two operators on the intersection of their valid domains."""
+    """Compare two operators on the intersection of their valid domains.
+
+    Columns are compared as stored; the exact delta is computed only for
+    columns that differ (nonzero, since no stored entry is zero), so no
+    ``lhs - rhs`` operator is built.
+    """
     lhs._same_basis(rhs)
     basis = lhs.basis
     valid = min(lhs.valid_up_to, rhs.valid_up_to)
-    diff = lhs - rhs
+    lcols, rcols = lhs.cols, rhs.cols
     defects = []
-    for j, w in enumerate(basis.words):
-        if len(w) > valid:
-            break
-        col = diff.column(j)
-        if col:
-            delta = tuple(
-                (word_str(basis.words[i]), v) for i, v in sorted(col.items())
-            )
-            defects.append(RelationDefect(word_str(w), len(w), delta))
+    for j in range(basis.end_of_length(valid)):
+        lcol, rcol = lcols.get(j), rcols.get(j)
+        if lcol == rcol:
+            continue
+        delta = dict(lcol) if lcol else {}
+        for i, v in (rcol or {}).items():
+            t = delta.get(i, 0) - v
+            if t:
+                delta[i] = t
+            else:
+                del delta[i]
+        w = basis.words[j]
+        rows = tuple((word_str(basis.words[i]), v) for i, v in sorted(delta.items()))
+        defects.append(RelationDefect(word_str(w), len(w), rows))
     return RelationReport(relation, not defects, valid, tuple(defects))
 
 
@@ -295,27 +336,34 @@ def creation_relations(basis: FockBasis, which: str = "all"):
     ii)  R_k* R_k = sum_i A[i][k] R_i R_i* + P
     iii) [L_k, R_l] = 0
     iv)  [L_k*, R_l] = delta_kl P
+
+    Each adjoint L_k*, R_k* and each range projection L_i L_i*, R_i R_i* is
+    built once and shared by every relation that uses it.
     """
     a = basis.matrix
     n = a.n
     ls = [build_creation(basis, "left", k) for k in range(1, n + 1)]
     rs = [build_creation(basis, "right", k) for k in range(1, n + 1)]
+    ls_star = [x.adjoint() for x in ls] if which in ("all", "i", "iv") else []
+    rs_star = [x.adjoint() for x in rs] if which in ("all", "ii") else []
     p = vacuum_projection(basis)
     out = []
     if which in ("all", "i"):
+        ranges = [x @ x_star for x, x_star in zip(ls, ls_star)]
         for k in range(n):
             rhs = p
             for i in range(n):
                 if a.entry(k, i):
-                    rhs = rhs + ls[i] @ ls[i].adjoint()
-            out.append((f"i(k={k + 1})", ls[k].adjoint() @ ls[k], rhs))
+                    rhs = rhs + ranges[i]
+            out.append((f"i(k={k + 1})", ls_star[k] @ ls[k], rhs))
     if which in ("all", "ii"):
+        ranges = [x @ x_star for x, x_star in zip(rs, rs_star)]
         for k in range(n):
             rhs = p
             for i in range(n):
                 if a.entry(i, k):
-                    rhs = rhs + rs[i] @ rs[i].adjoint()
-            out.append((f"ii(k={k + 1})", rs[k].adjoint() @ rs[k], rhs))
+                    rhs = rhs + ranges[i]
+            out.append((f"ii(k={k + 1})", rs_star[k] @ rs[k], rhs))
     if which in ("all", "iii"):
         for k in range(n):
             for l in range(n):
@@ -324,7 +372,7 @@ def creation_relations(basis: FockBasis, which: str = "all"):
         for k in range(n):
             for l in range(n):
                 rhs = p if k == l else zero(basis)
-                out.append((f"iv(k={k + 1},l={l + 1})", commutator(ls[k].adjoint(), rs[l]), rhs))
+                out.append((f"iv(k={k + 1},l={l + 1})", commutator(ls_star[k], rs[l]), rhs))
     return out
 
 

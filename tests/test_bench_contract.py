@@ -6,6 +6,10 @@ the benchmark runs, so this test runs traced calls of each command family the
 way ``bench/worker.py`` does and applies the tracer's own self-check for the
 workload that family belongs to, including its fixed per-call counts.  It runs
 in a subprocess so that the wrappers never reach this test process.
+
+For the Fock family it also pins how many adjoints and products the traced
+calls make, so that rebuilding an adjoint or a range projection per relation
+fails here rather than only showing up as a slower benchmark.
 """
 
 import json
@@ -36,7 +40,8 @@ for i, argv in enumerate(json.loads(calls)):
         rec["dump"] = json.load(fh)
     rec["label"] = " ".join(argv[:1] + argv[3:])
     records.append(rec)
-print(json.dumps(tracer.self_check(workload, tracer.layer_metrics(records))))
+metrics = tracer.layer_metrics(records)
+print(json.dumps({"problems": tracer.self_check(workload, metrics), "metrics": metrics}))
 """
 
 M = ["--max-length", "4", "--json"]
@@ -54,6 +59,15 @@ FAMILIES = {
     ],
 }
 
+# workload -> exact traced call counts for FIB at --max-length 4.  fock-verify
+# builds L_1*, L_2*, R_1*, R_2* once (4 adjoints) and makes 24 products: the
+# range projections L_i L_i*, R_i R_i* (4), the left sides L_k* L_k, R_k* R_k
+# (4) and two per commutator in iii and iv (16).  pairing adds L_k* and
+# L_k* R_k for each k (2 adjoints, 2 products).
+EXACT_COUNTS = {
+    "fock-relations": {"fock.adjoint_calls": 6, "fock.matmul_calls": 26},
+}
+
 
 @pytest.mark.parametrize("workload", sorted(FAMILIES))
 def test_tracer_self_check(tmp_path, workload):
@@ -66,4 +80,7 @@ def test_tracer_self_check(tmp_path, workload):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    out = json.loads(proc.stdout)
+    assert out["problems"] == []
+    for metric, count in EXACT_COUNTS.get(workload, {}).items():
+        assert out["metrics"][metric] == count, metric

@@ -1,11 +1,15 @@
+import copy
 import json
+import random
 
 from ckdual import ckalg
 from ckdual.fock import (
     FockBasis,
+    RelationDefect,
     build_creation,
     ck_action_on_word,
     commutator,
+    creation_relations,
     identity,
     orbit_spans,
     pair_action_on_word,
@@ -15,8 +19,9 @@ from ckdual.fock import (
     verify_relation,
     zero,
 )
+from ckdual.sft import word_str
 
-from helpers import FIB, ones, relation_family
+from helpers import FIB, MIXED4, ones, random_valid_matrix, relation_family
 
 
 def basis(a, m=5):
@@ -156,6 +161,65 @@ def test_relation_iv_defect_structure():
                     assert len(rep.defects) == 1
                     d = rep.defects[0]
                     assert d.length == 1
+
+
+def test_operations_never_mutate_shared_columns():
+    # operators share column dicts (``+`` keeps untouched columns, ``@``
+    # reuses single-entry columns), so no operation may write into an
+    # operand's column; every operand must keep a deep-copied snapshot
+    b = basis(MIXED4, 4)
+    l1, r2 = build_creation(b, "left", 1), build_creation(b, "right", 2)
+    l1_star = l1.adjoint()
+    proj = l1 @ l1_star
+    total = proj + vacuum_projection(b) + r2
+    operands = [l1, r2, l1_star, proj, total]
+    assert all((proj + vacuum_projection(b)).cols[j] is col for j, col in proj.cols.items())
+    l1_star_cols = {id(col) for col in l1_star.cols.values()}
+    assert all(id(col) in l1_star_cols for col in (l1_star @ l1).cols.values())
+    snapshots = [copy.deepcopy(op.cols) for op in operands]
+    results = []
+    for x in operands:
+        results += [x.scale(3), x.scale(-1), x.adjoint()]
+        for y in operands:
+            results += [x + y, x - y, x @ y, commutator(x, y)]
+    result_snapshots = [copy.deepcopy(op.cols) for op in results]
+    for x in results:
+        x.adjoint()
+        x.scale(-2)
+        for y in operands:
+            x + y, y + x, x - y, y - x, x @ y, y @ x, commutator(x, y)
+    for op, snap in zip(operands + results, snapshots + result_snapshots):
+        assert op.cols == snap
+
+
+def _reference_defects(lhs, rhs):
+    # the former construction: walk the columns of lhs - rhs in the valid domain
+    b = lhs.basis
+    valid = min(lhs.valid_up_to, rhs.valid_up_to)
+    out = []
+    for j, col in sorted((lhs - rhs).cols.items()):
+        w = b.words[j]
+        if len(w) <= valid:
+            delta = tuple((word_str(b.words[i]), v) for i, v in sorted(col.items()))
+            out.append(RelationDefect(word_str(w), len(w), delta))
+    return tuple(out)
+
+
+def test_verify_relation_matches_difference_oracle():
+    mats = [MIXED4] + [random_valid_matrix(random.Random(seed), 3) for seed in (31, 32, 33)]
+    seen_defects = 0
+    for a in mats:
+        for m in range(3, 7):
+            b = FockBasis(a, m)
+            for label, lhs, rhs in creation_relations(b):
+                for x, y in ((lhs, rhs), (rhs, lhs), (lhs, rhs.scale(2))):
+                    rep = verify_relation(label, x, y)
+                    expected = _reference_defects(x, y)
+                    assert rep.defects == expected, (a, m, label)
+                    assert rep.holds == (not expected)
+                    assert rep.valid_up_to == min(x.valid_up_to, y.valid_up_to)
+                    seen_defects += len(expected)
+    assert seen_defects
 
 
 def test_relation_report_json():
