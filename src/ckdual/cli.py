@@ -2,9 +2,10 @@
 
 Subcommands: validate, words, ktheory, duality, fock-verify, lemma-verify,
 pairing.  Exit codes: 0 = all requested checks hold, 1 = checks ran and
-defects were found, 2 = input error.  Finding defects is a success mode of
-the tool - the general-matrix corrections to the vacuum-sector identities are
-a primary output - so they exit 1, distinct from crashes.
+defects were found, 2 = input error, 3 = internal error (an unexpected
+exception; its traceback goes to stderr).  Finding defects is a success mode
+of the tool - the general-matrix corrections to the vacuum-sector identities
+are a primary output - so they exit 1, distinct from crashes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from . import fock, ktheory, sft
 EXIT_OK = 0
 EXIT_DEFECTS = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _emit_json(obj) -> None:
@@ -267,6 +269,14 @@ def main(argv=None) -> int:
     except (sft.MatrixValidationError, sft.MatrixFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        # imported only here: every forked call would otherwise carry the
+        # module (about 0.4 MiB of peak RSS) although only a crash needs it
+        import traceback
+
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

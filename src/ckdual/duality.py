@@ -86,7 +86,7 @@ class HybridElement:
 def _merge_terms(terms):
     merged = {}
     for op, ck in terms:
-        if not op.cols or ck.is_structurally_zero():
+        if not op.support() or ck.is_structurally_zero():
             continue
         prev = merged.get(op)
         merged[op] = ck if prev is None else prev + ck
@@ -169,12 +169,12 @@ def hybrid_defects(x: HybridElement, y: HybridElement):
     end = basis.end_of_length(valid)
     touched = set()
     for op, _ck in diff.terms:
-        touched.update(j for j in op.cols if j < end)
+        touched.update(j for j in op.support() if j < end)
     defects = []
     for j in sorted(touched):
         rows = {}  # row index -> coefficients of the symbolic entry
         for op, ck in diff.terms:
-            col = op.cols.get(j)
+            col = op.column(j)
             if not col:
                 continue
             for i, v in col.items():

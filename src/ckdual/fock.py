@@ -20,16 +20,39 @@ propagate it.  Relation checks compare two operators only on the intersection
 of their valid domains and report exact defect columns instead of a bare
 boolean.
 
-Operators are immutable and share column dicts with each other: ``+`` keeps
-every column the other operand does not touch and copies a column only when
-it writes to it, and ``@`` reuses the left factor's column as the product
-column wherever the right factor's column is a single entry 1.  A column
-dict reached through ``cols`` or ``column`` must therefore never be mutated.
+Storage.  An operator with at most one entry per column is *monomial*: the
+creation operators, their adjoints, the range projections, every product of
+these and the sums that occur in the relations and in the rotation X all
+are.  A monomial operator is stored as two flat maps over its nonzero
+columns, ``tgt`` (column -> row) and ``coef`` (column -> nonzero int).  Only
+an operator with a column of two or more entries is stored in the general
+form ``wide`` (column -> {row: coeff}).  The form is canonical: every
+operation normalizes its result, so an operator is held in the general form
+exactly when some column has two or more entries, and equality and hash can
+compare the stored maps.
+
+Operators are immutable and share these maps: ``scale`` of a monomial
+operator shares its ``tgt``, and general-form sums, products and ``cols``
+share column dicts with their operands.  No map reached through an operator
+(``tgt``, ``coef``, ``wide``, ``cols`` or ``column``) may be mutated.
+
+Creation operators are indexed arithmetically, with no word built or looked
+up.  L_k maps its sources, the vacuum and the words w of length < m_max with
+A[k][w_1] = 1, bijectively onto its targets, the words of length 1..m_max
+that begin with k.  The bijection w -> k w is strictly increasing in the
+basis order: it raises every length by one, and within one length
+k w < k w' exactly when w < w'.  So the i-th source in basis order maps to
+the i-th target, and both lists are read off the first letters of the
+words.  R_k is the same with last letters (w -> w k, A[w_end][k] = 1,
+targets ending in k).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, compress
+from operator import itemgetter
 
 from .sft import ZeroOneMatrix, enumerate_words, word_str
 
@@ -48,7 +71,11 @@ class FockBasis:
             start = len(self.words)
             self.words.extend(enumerate_words(matrix, m))
             self.sector_bounds.append((start, len(self.words)))
-        self.index = {w: i for i, w in enumerate(self.words)}
+
+    @cached_property
+    def index(self) -> dict:
+        """Word -> basis position, built on first use (no operator needs it)."""
+        return {w: i for i, w in enumerate(self.words)}
 
     @property
     def size(self) -> int:
@@ -89,23 +116,25 @@ class FockOperator:
     domain by the inner factor's raise.  ``expr`` records how the operator was
     assembled from generators (used by the hybrid quotient map).
 
-    Operators are immutable.  Equality and hash are by matrix on the same
-    basis, whatever the bounds or ``expr``; the hash is cached on first use.
-    No stored column or entry is zero.
-
-    Column dicts are shared between operators and must never be mutated:
-    ``+`` shares every column of either operand that the sum leaves unchanged
-    and copies a column only when it writes to it, and ``@`` shares the left
-    factor's column for each single-entry column of the right factor (scaled
-    into a new dict unless the entry is 1).
+    Storage, in the canonical form of the module docstring: a monomial
+    operator has ``tgt`` and ``coef`` and ``wide is None``; any other has
+    ``wide`` and ``tgt is coef is None``.  No stored column or entry is zero.
+    Equality and hash are by matrix on the same basis, whatever the bounds or
+    ``expr``, so they compare the stored maps; the hash is cached on first
+    use.  Operators are immutable and share maps (``scale`` shares ``tgt``,
+    general-form results share columns), so nothing reached through an
+    operator may be mutated.
     """
 
-    __slots__ = ("basis", "cols", "valid_up_to", "adj_valid", "raise_len", "lower_len", "expr",
-                 "_hash")
+    __slots__ = ("basis", "tgt", "coef", "wide", "valid_up_to", "adj_valid", "raise_len",
+                 "lower_len", "expr", "_hash")
 
-    def __init__(self, basis, cols, valid_up_to, adj_valid, raise_len, lower_len, expr):
+    def __init__(self, basis, tgt, coef, wide, valid_up_to, adj_valid, raise_len, lower_len,
+                 expr):
         self.basis = basis
-        self.cols = cols
+        self.tgt = tgt
+        self.coef = coef
+        self.wide = wide
         self.valid_up_to = max(valid_up_to, -1)
         self.adj_valid = max(adj_valid, -1)
         self.raise_len = raise_len
@@ -113,8 +142,27 @@ class FockOperator:
         self.expr = expr
         self._hash = None
 
+    @property
+    def cols(self) -> dict:
+        """The matrix as {column: {row: coeff}} over its nonzero columns.
+
+        Built on every access for a monomial operator, so hot paths use
+        ``support`` and ``column`` instead.
+        """
+        if self.wide is not None:
+            return self.wide
+        coef = self.coef
+        return {j: {i: coef[j]} for j, i in self.tgt.items()}
+
+    def support(self):
+        """The indices of the nonzero columns."""
+        return (self.tgt if self.wide is None else self.wide).keys()
+
     def column(self, j: int) -> dict:
-        return self.cols.get(j, {})
+        if self.wide is not None:
+            return self.wide.get(j, {})
+        i = self.tgt.get(j)
+        return {} if i is None else {i: self.coef[j]}
 
     def _same_basis(self, other):
         if self.basis is not other.basis:
@@ -122,6 +170,17 @@ class FockOperator:
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
         self._same_basis(other)
+        rest = (
+            min(self.valid_up_to, other.valid_up_to),
+            min(self.adj_valid, other.adj_valid),
+            max(self.raise_len, other.raise_len),
+            max(self.lower_len, other.lower_len),
+            ("sum", (self.expr, other.expr)),
+        )
+        if self.wide is None and other.wide is None:
+            merged = _merge_monomials(self, other)
+            if merged is not None:
+                return FockOperator(self.basis, *merged, None, *rest)
         cols = dict(self.cols)
         for j, col in other.cols.items():
             dst = cols.get(j)
@@ -139,15 +198,7 @@ class FockOperator:
                 cols[j] = dst
             else:
                 del cols[j]
-        return FockOperator(
-            self.basis,
-            cols,
-            min(self.valid_up_to, other.valid_up_to),
-            min(self.adj_valid, other.adj_valid),
-            max(self.raise_len, other.raise_len),
-            max(self.lower_len, other.lower_len),
-            ("sum", (self.expr, other.expr)),
-        )
+        return _from_cols(self.basis, cols, *rest)
 
     def __neg__(self) -> "FockOperator":
         return self.scale(-1)
@@ -160,29 +211,38 @@ class FockOperator:
             raise TypeError("Fock operators are integer matrices; scale by int")
         if c == 0:
             return zero(self.basis)
-        cols = {j: {i: c * v for i, v in col.items()} for j, col in self.cols.items()}
-        return FockOperator(
-            self.basis, cols, self.valid_up_to, self.adj_valid,
-            self.raise_len, self.lower_len, ("scale", c, self.expr),
-        )
+        rest = (self.valid_up_to, self.adj_valid, self.raise_len, self.lower_len,
+                ("scale", c, self.expr))
+        if self.wide is None:
+            coef = {j: c * v for j, v in self.coef.items()}
+            return FockOperator(self.basis, self.tgt, coef, None, *rest)
+        wide = {j: {i: c * v for i, v in col.items()} for j, col in self.wide.items()}
+        return FockOperator(self.basis, None, None, wide, *rest)
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         self._same_basis(other)
+        rest = (
+            min(other.valid_up_to, self.valid_up_to - other.raise_len),
+            min(self.adj_valid, other.adj_valid - self.lower_len),
+            self.raise_len + other.raise_len,
+            self.lower_len + other.lower_len,
+            ("prod", (self.expr, other.expr)),
+        )
+        if self.wide is None and other.wide is None:
+            atgt, acoef, bcoef = self.tgt, self.coef, other.coef
+            tgt, coef = {}, {}
+            for j, mid in other.tgt.items():
+                i = atgt.get(mid)
+                if i is not None:
+                    tgt[j] = i
+                    coef[j] = acoef[mid] * bcoef[j]
+            return FockOperator(self.basis, tgt, coef, None, *rest)
         acols = self.cols
         cols = {}
         for j, bcol in other.cols.items():
-            if len(bcol) == 1:
-                ((mid, v),) = bcol.items()
-                acol = acols.get(mid)
-                if acol:
-                    cols[j] = acol if v == 1 else {i: v * w for i, w in acol.items()}
-                continue
             out = {}
             for mid, v in bcol.items():
-                acol = acols.get(mid)
-                if not acol:
-                    continue
-                for i, w in acol.items():
+                for i, w in acols.get(mid, {}).items():
                     t = out.get(i, 0) + v * w
                     if t:
                         out[i] = t
@@ -190,54 +250,88 @@ class FockOperator:
                         del out[i]
             if out:
                 cols[j] = out
-        return FockOperator(
-            self.basis,
-            cols,
-            min(other.valid_up_to, self.valid_up_to - other.raise_len),
-            min(self.adj_valid, other.adj_valid - self.lower_len),
-            self.raise_len + other.raise_len,
-            self.lower_len + other.lower_len,
-            ("prod", (self.expr, other.expr)),
-        )
+        return _from_cols(self.basis, cols, *rest)
 
     def adjoint(self) -> "FockOperator":
+        rest = (self.adj_valid, self.valid_up_to, self.lower_len, self.raise_len,
+                _star_expr(self.expr))
+        if self.wide is None:
+            src = self.tgt
+            tgt = {i: j for j, i in src.items()}
+            if len(tgt) == len(src):  # injective: the inverse partial map
+                coef = {src[j]: v for j, v in self.coef.items()}
+                return FockOperator(self.basis, tgt, coef, None, *rest)
         cols = {}
         for j, col in self.cols.items():
             for i, v in col.items():
                 cols.setdefault(i, {})[j] = v
-        return FockOperator(
-            self.basis, cols, self.adj_valid, self.valid_up_to,
-            self.lower_len, self.raise_len, _star_expr(self.expr),
-        )
+        return _from_cols(self.basis, cols, *rest)
 
     def __eq__(self, other):
         return (
             isinstance(other, FockOperator)
             and self.basis is other.basis
-            and self.cols == other.cols
+            and self.tgt == other.tgt
+            and self.coef == other.coef
+            and self.wide == other.wide
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset((j, frozenset(c.items())) for j, c in self.cols.items()))
+            if self.wide is None:
+                self._hash = hash((frozenset(self.tgt.items()), frozenset(self.coef.items())))
+            else:
+                self._hash = hash(frozenset((j, frozenset(c.items()))
+                                            for j, c in self.wide.items()))
         return self._hash
 
 
+def _merge_monomials(x: FockOperator, y: FockOperator):
+    """``(tgt, coef)`` of x + y for monomial x and y, or None when a column of
+    x and the same column of y have different rows."""
+    tgt, coef = x.tgt | y.tgt, x.coef | y.coef
+    if len(tgt) < len(x.tgt) + len(y.tgt):
+        xtgt, xcoef = x.tgt, x.coef
+        for j in xtgt.keys() & y.tgt.keys():
+            if xtgt[j] != tgt[j]:
+                return None
+            v = xcoef[j] + coef[j]
+            if v:
+                coef[j] = v
+            else:
+                del tgt[j], coef[j]
+    return tgt, coef
+
+
+def _from_cols(basis, cols, *rest) -> FockOperator:
+    """The operator with the nonzero columns ``cols``, in canonical form."""
+    if any(len(col) > 1 for col in cols.values()):
+        return FockOperator(basis, None, None, cols, *rest)
+    tgt, coef = {}, {}
+    for j, col in cols.items():
+        ((tgt[j], coef[j]),) = col.items()
+    return FockOperator(basis, tgt, coef, None, *rest)
+
+
 def zero(basis: FockBasis) -> FockOperator:
-    return FockOperator(basis, {}, basis.m_max, basis.m_max, 0, 0, ("0",))
+    return FockOperator(basis, {}, {}, None, basis.m_max, basis.m_max, 0, 0, ("0",))
 
 
 def identity(basis: FockBasis) -> FockOperator:
-    cols = {j: {j: 1} for j in range(basis.size)}
-    return FockOperator(basis, cols, basis.m_max, basis.m_max, 0, 0, ("I",))
+    every = range(basis.size)
+    return FockOperator(basis, dict(zip(every, every)), dict.fromkeys(every, 1), None,
+                        basis.m_max, basis.m_max, 0, 0, ("I",))
 
 
 def vacuum_projection(basis: FockBasis) -> FockOperator:
-    return FockOperator(basis, {0: {0: 1}}, basis.m_max, basis.m_max, 0, 0, ("P",))
+    return FockOperator(basis, {0: 0}, {0: 1}, None, basis.m_max, basis.m_max, 0, 0, ("P",))
 
 
 def build_creation(basis: FockBasis, side: str, k: int) -> FockOperator:
     """The creation operator L_k ("left") or R_k ("right"), k 1-based.
+
+    The i-th source maps to the i-th target in basis order, by the indexing
+    rule of the module docstring.
 
     Length-raising operators lose the top layer: columns of length m_max map
     out of the window, so valid_up_to = m_max - 1.
@@ -248,23 +342,19 @@ def build_creation(basis: FockBasis, side: str, k: int) -> FockOperator:
     if not 1 <= k <= a.n:
         raise ValueError(f"letter {k} out of range 1..{a.n}")
     k0 = k - 1
-    cols = {}
-    for j, w in enumerate(basis.words):
-        if len(w) >= basis.m_max:
-            continue
-        if not w:
-            new = (k0,)
-        elif side == "left":
-            if not a.entry(k0, w[0]):
-                continue
-            new = (k0,) + w
-        else:
-            if not a.entry(w[-1], k0):
-                continue
-            new = w + (k0,)
-        cols[j] = {basis.index[new]: 1}
+    if side == "left":
+        end, fits = itemgetter(0), [a.entry(k0, c) for c in range(a.n)]
+    else:
+        end, fits = itemgetter(-1), [a.entry(c, k0) for c in range(a.n)]
+    is_k = [c == k0 for c in range(a.n)]
+    letters = list(map(end, basis.words[1:]))  # of the words 1, 2, ...
+    sources = chain((0,), compress(range(1, basis.end_of_length(basis.m_max - 1)),
+                                   map(fits.__getitem__, letters)))
+    targets = compress(range(1, basis.size), map(is_k.__getitem__, letters))
+    tgt = dict(zip(sources, targets))
     head = "L" if side == "left" else "R"
-    return FockOperator(basis, cols, basis.m_max - 1, basis.m_max, 1, 0, (head, k0))
+    return FockOperator(basis, tgt, dict.fromkeys(tgt, 1), None, basis.m_max - 1, basis.m_max,
+                        1, 0, (head, k0))
 
 
 def commutator(x: FockOperator, y: FockOperator) -> FockOperator:
@@ -310,14 +400,16 @@ def verify_relation(relation: str, lhs: FockOperator, rhs: FockOperator) -> Rela
     lhs._same_basis(rhs)
     basis = lhs.basis
     valid = min(lhs.valid_up_to, rhs.valid_up_to)
-    lcols, rcols = lhs.cols, rhs.cols
+    domain = range(basis.end_of_length(valid))
+    if lhs.wide is None and rhs.wide is None:
+        lt, lc, rt, rc = lhs.tgt, lhs.coef, rhs.tgt, rhs.coef
+        differ = [j for j in domain if lt.get(j) != rt.get(j) or lc.get(j) != rc.get(j)]
+    else:
+        differ = [j for j in domain if lhs.column(j) != rhs.column(j)]
     defects = []
-    for j in range(basis.end_of_length(valid)):
-        lcol, rcol = lcols.get(j), rcols.get(j)
-        if lcol == rcol:
-            continue
-        delta = dict(lcol) if lcol else {}
-        for i, v in (rcol or {}).items():
+    for j in differ:
+        delta = dict(lhs.column(j))
+        for i, v in rhs.column(j).items():
             t = delta.get(i, 0) - v
             if t:
                 delta[i] = t
@@ -330,7 +422,9 @@ def verify_relation(relation: str, lhs: FockOperator, rhs: FockOperator) -> Rela
 
 
 def creation_relations(basis: FockBasis, which: str = "all"):
-    """The four families of creation-operator relations, as (label, lhs, rhs).
+    """The four families of creation-operator relations, yielded as
+    (label, lhs, rhs) one at a time, so a caller that checks each relation
+    as it comes keeps only the shared operators below alive.
 
     i)   L_k* L_k = sum_i A[k][i] L_i L_i* + P
     ii)  R_k* R_k = sum_i A[i][k] R_i R_i* + P
@@ -347,7 +441,6 @@ def creation_relations(basis: FockBasis, which: str = "all"):
     ls_star = [x.adjoint() for x in ls] if which in ("all", "i", "iv") else []
     rs_star = [x.adjoint() for x in rs] if which in ("all", "ii") else []
     p = vacuum_projection(basis)
-    out = []
     if which in ("all", "i"):
         ranges = [x @ x_star for x, x_star in zip(ls, ls_star)]
         for k in range(n):
@@ -355,7 +448,7 @@ def creation_relations(basis: FockBasis, which: str = "all"):
             for i in range(n):
                 if a.entry(k, i):
                     rhs = rhs + ranges[i]
-            out.append((f"i(k={k + 1})", ls_star[k] @ ls[k], rhs))
+            yield f"i(k={k + 1})", ls_star[k] @ ls[k], rhs
     if which in ("all", "ii"):
         ranges = [x @ x_star for x, x_star in zip(rs, rs_star)]
         for k in range(n):
@@ -363,17 +456,16 @@ def creation_relations(basis: FockBasis, which: str = "all"):
             for i in range(n):
                 if a.entry(i, k):
                     rhs = rhs + ranges[i]
-            out.append((f"ii(k={k + 1})", rs_star[k] @ rs[k], rhs))
+            yield f"ii(k={k + 1})", rs_star[k] @ rs[k], rhs
     if which in ("all", "iii"):
         for k in range(n):
             for l in range(n):
-                out.append((f"iii(k={k + 1},l={l + 1})", commutator(ls[k], rs[l]), zero(basis)))
+                yield f"iii(k={k + 1},l={l + 1})", commutator(ls[k], rs[l]), zero(basis)
     if which in ("all", "iv"):
         for k in range(n):
             for l in range(n):
                 rhs = p if k == l else zero(basis)
-                out.append((f"iv(k={k + 1},l={l + 1})", commutator(ls_star[k], rs[l]), rhs))
-    return out
+                yield f"iv(k={k + 1},l={l + 1})", commutator(ls_star[k], rs[l]), rhs
 
 
 def verify_creation_relations(basis: FockBasis, which: str = "all"):

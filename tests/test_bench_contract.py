@@ -7,9 +7,10 @@ way ``bench/worker.py`` does and applies the tracer's own self-check for the
 workload that family belongs to, including its fixed per-call counts.  It runs
 in a subprocess so that the wrappers never reach this test process.
 
-For the Fock family it also pins how many adjoints and products the traced
-calls make, so that rebuilding an adjoint or a range projection per relation
-fails here rather than only showing up as a slower benchmark.
+For the two Fock families it also pins how many adjoints and products the
+traced calls make and how many nonzero entries the products hold, so that
+rebuilding an adjoint or a range projection, or changing a product matrix,
+fails here rather than only showing up in the benchmark.
 """
 
 import json
@@ -59,13 +60,18 @@ FAMILIES = {
     ],
 }
 
-# workload -> exact traced call counts for FIB at --max-length 4.  fock-verify
+# workload -> exact traced counts for FIB at --max-length 4.  fock-verify
 # builds L_1*, L_2*, R_1*, R_2* once (4 adjoints) and makes 24 products: the
 # range projections L_i L_i*, R_i R_i* (4), the left sides L_k* L_k, R_k* R_k
 # (4) and two per commutator in iii and iv (16).  pairing adds L_k* and
-# L_k* R_k for each k (2 adjoints, 2 products).
+# L_k* R_k for each k (2 adjoints, 2 products).  ``fock.matmul_nnz`` sums the
+# nonzero entries of every product, so a change of storage that alters any
+# product matrix, or adds a product, fails here too.
 EXACT_COUNTS = {
-    "fock-relations": {"fock.adjoint_calls": 6, "fock.matmul_calls": 26},
+    "fock-relations": {"fock.adjoint_calls": 6, "fock.matmul_calls": 26,
+                       "fock.matmul_nnz": 162},
+    "hybrid-lemmas": {"fock.adjoint_calls": 32, "fock.matmul_calls": 144,
+                      "fock.matmul_nnz": 564},
 }
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ckdual import cli
 from ckdual.cli import main
 
 
@@ -83,6 +84,18 @@ def test_unreadable_matrix_file_exits_2(capsys, tmp_path, name, content, message
     assert out == ""
     assert err.startswith("error:") and message in err
 
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch, fib_file):
+    def broken(_args):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(cli, "cmd_fock_verify", broken)
+    code, out, err = run(capsys, "fock-verify", "--matrix", fib_file)
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err.startswith("internal error:\nTraceback (most recent call last):")
+    assert "RuntimeError: simulated fault" in err
 
 def test_words(capsys, fib_file):
     code, out, _err = run(capsys, "words", "--matrix", fib_file, "--length", "2")

@@ -2,6 +2,9 @@ import copy
 import json
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ckdual import ckalg
 from ckdual.fock import (
     FockBasis,
@@ -19,9 +22,17 @@ from ckdual.fock import (
     verify_relation,
     zero,
 )
-from ckdual.sft import word_str
+from ckdual.sft import is_admissible, word_str
 
-from helpers import FIB, MIXED4, ones, random_valid_matrix, relation_family
+from helpers import (
+    CHORD3,
+    FIB,
+    MIXED4,
+    all_valid_matrices,
+    ones,
+    random_valid_matrix,
+    relation_family,
+)
 
 
 def basis(a, m=5):
@@ -118,6 +129,23 @@ def test_operator_entries_are_partial_permutations():
                     assert set(col.values()) == {1}
 
 
+def test_creation_targets_match_word_positions():
+    # the arithmetic index of every k w and w k against the word list itself
+    for a in all_valid_matrices(2) + all_valid_matrices(3):
+        for m in range(2, 7):
+            b = FockBasis(a, m)
+            position = {w: i for i, w in enumerate(b.words)}  # b.words.index, in O(1)
+            assert len(position) == b.size
+            for side in ("left", "right"):
+                for k0 in range(a.n):
+                    expected = {}
+                    for j, w in enumerate(b.words[:b.end_of_length(m - 1)]):
+                        new = (k0,) + w if side == "left" else w + (k0,)
+                        if is_admissible(a, new):
+                            expected[j] = {position[new]: 1}
+                    assert build_creation(b, side, k0 + 1).cols == expected, (a, m, side, k0)
+
+
 def test_vacuum_projection():
     b = basis(ones(2))
     p = vacuum_projection(b)
@@ -164,18 +192,18 @@ def test_relation_iv_defect_structure():
 
 
 def test_operations_never_mutate_shared_columns():
-    # operators share column dicts (``+`` keeps untouched columns, ``@``
-    # reuses single-entry columns), so no operation may write into an
-    # operand's column; every operand must keep a deep-copied snapshot
+    # operators share maps (``scale`` keeps ``tgt``, general-form sums keep
+    # untouched columns), so no operation may write into an operand's maps;
+    # every operand must keep a deep-copied snapshot
     b = basis(MIXED4, 4)
     l1, r2 = build_creation(b, "left", 1), build_creation(b, "right", 2)
     l1_star = l1.adjoint()
     proj = l1 @ l1_star
     total = proj + vacuum_projection(b) + r2
     operands = [l1, r2, l1_star, proj, total]
-    assert all((proj + vacuum_projection(b)).cols[j] is col for j, col in proj.cols.items())
-    l1_star_cols = {id(col) for col in l1_star.cols.values()}
-    assert all(id(col) in l1_star_cols for col in (l1_star @ l1).cols.values())
+    assert all(x.scale(-2).tgt is x.tgt for x in (l1, r2, l1_star, proj))
+    disjoint = proj + vacuum_projection(b)
+    assert disjoint.wide is None and disjoint.tgt == {**proj.tgt, 0: 0}
     snapshots = [copy.deepcopy(op.cols) for op in operands]
     results = []
     for x in operands:
@@ -191,6 +219,122 @@ def test_operations_never_mutate_shared_columns():
     for op, snap in zip(operands + results, snapshots + result_snapshots):
         assert op.cols == snap
 
+
+# ---------------------------------------------------------------------------
+# the storage forms against a plain dict-of-dicts reference
+
+
+def _ref_prune(cols):
+    cols = {j: {i: v for i, v in col.items() if v} for j, col in cols.items()}
+    return {j: col for j, col in cols.items() if col}
+
+
+def _ref_sum(x, y, sign=1):
+    out = {j: dict(col) for j, col in x.items()}
+    for j, col in y.items():
+        dst = out.setdefault(j, {})
+        for i, v in col.items():
+            dst[i] = dst.get(i, 0) + sign * v
+    return _ref_prune(out)
+
+
+def _ref_product(x, y):
+    out = {}
+    for j, ycol in y.items():
+        dst = out.setdefault(j, {})
+        for mid, v in ycol.items():
+            for i, w in x.get(mid, {}).items():
+                dst[i] = dst.get(i, 0) + w * v
+    return _ref_prune(out)
+
+
+def _ref_adjoint(x):
+    out = {}
+    for j, col in x.items():
+        for i, v in col.items():
+            out.setdefault(i, {})[j] = v
+    return out
+
+
+_REFERENCE = {
+    "+": lambda x, y, c: _ref_sum(x, y),
+    "-": lambda x, y, c: _ref_sum(x, y, -1),
+    "@": lambda x, y, c: _ref_product(x, y),
+    "scale": lambda x, y, c: _ref_prune({j: {i: c * v for i, v in col.items()}
+                                         for j, col in x.items()}),
+    "adjoint": lambda x, y, c: _ref_adjoint(x),
+    "commutator": lambda x, y, c: _ref_sum(_ref_product(x, y), _ref_product(y, x), -1),
+}
+
+_OPERATION = {
+    "+": lambda x, y, c: x + y,
+    "-": lambda x, y, c: x - y,
+    "@": lambda x, y, c: x @ y,
+    "scale": lambda x, y, c: x.scale(c),
+    "adjoint": lambda x, y, c: x.adjoint(),
+    "commutator": lambda x, y, c: commutator(x, y),
+}
+
+
+def _operator_pool(a, m):
+    """Generators, adjoints, P, 1, 0, and operators in or next to the general form."""
+    b = FockBasis(a, m)
+    gens = [build_creation(b, side, k) for side in ("left", "right") for k in range(1, a.n + 1)]
+    l1, r2 = gens[0], gens[a.n + 1]
+    p = vacuum_projection(b)
+    wide = [l1 + l1.adjoint(), l1 @ l1.adjoint() + p + r2]
+    fold = gens[0].adjoint() + gens[1].adjoint()  # monomial, not injective
+    assert all(x.wide is not None for x in wide)
+    assert fold.wide is None and fold.adjoint().wide is not None
+    return gens + [g.adjoint() for g in gens] + [p, identity(b), zero(b), fold] + wide
+
+
+def _is_canonical(op):
+    width = {len(col) for col in op.cols.values()}
+    return (op.wide is None) == (width <= {1})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    a=st.sampled_from([FIB, CHORD3, MIXED4]),
+    m=st.integers(2, 5),
+    steps=st.lists(
+        st.tuples(st.sampled_from(sorted(_OPERATION)), st.integers(0, 999),
+                  st.integers(0, 999), st.integers(-3, 3).filter(bool)),
+        min_size=1, max_size=10,
+    ),
+)
+def test_operations_match_dict_of_dicts_reference(a, m, steps):
+    pool = _operator_pool(a, m)
+    refs = [copy.deepcopy(op.cols) for op in pool]
+    for kind, i, j, c in steps:
+        i, j = i % len(pool), j % len(pool)
+        got = _OPERATION[kind](pool[i], pool[j], c)
+        ref = _REFERENCE[kind](refs[i], refs[j], c)
+        assert got.cols == ref, (kind, i, j, c)
+        assert _is_canonical(got)
+        for op, op_ref in zip(pool, refs):
+            assert (got == op) == (ref == op_ref)
+            if ref == op_ref:
+                assert hash(got) == hash(op)
+        pool.append(got)
+        refs.append(ref)
+
+
+def test_routes_through_cancelling_wide_operators_give_equal_operators():
+    for a in (FIB, CHORD3, MIXED4):
+        pool = _operator_pool(a, 4)
+        routes = [((x + w) - w, x) for w in pool[-2:] for x in pool]
+        # L_1 L_1* and L_1* L_1 cancel inside the columns of this product
+        l1 = pool[0]
+        l1_star = l1.adjoint()
+        routes.append(((l1 + l1_star) @ (l1 - l1_star),
+                       l1 @ l1 - l1_star @ l1_star + commutator(l1_star, l1)))
+        for y, x in routes:
+            assert y is not x
+            assert y == x and hash(y) == hash(x) and len({x, y}) == 1
+            assert (y.wide is None) == (x.wide is None)
+            assert _is_canonical(y)
 
 def _reference_defects(lhs, rhs):
     # the former construction: walk the columns of lhs - rhs in the valid domain
