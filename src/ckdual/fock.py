@@ -32,8 +32,9 @@ exactly when some column has two or more entries, and equality and hash can
 compare the stored maps.
 
 Operators are immutable and share these maps: ``scale`` of a monomial
-operator shares its ``tgt``, and general-form sums, products and ``cols``
-share column dicts with their operands.  No map reached through an operator
+operator shares its ``tgt``, a general-form sum shares the column dicts it
+leaves unchanged with its operands, and ``cols`` of a general-form operator
+is its ``wide`` itself.  No map reached through an operator
 (``tgt``, ``coef``, ``wide``, ``cols`` or ``column``) may be mutated.
 
 Creation operators are indexed arithmetically, with no word built or looked
@@ -122,7 +123,7 @@ class FockOperator:
     Equality and hash are by matrix on the same basis, whatever the bounds or
     ``expr``, so they compare the stored maps; the hash is cached on first
     use.  Operators are immutable and share maps (``scale`` shares ``tgt``,
-    general-form results share columns), so nothing reached through an
+    general-form sums share columns), so nothing reached through an
     operator may be mutated.
     """
 
