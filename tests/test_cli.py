@@ -85,7 +85,6 @@ def test_unreadable_matrix_file_exits_2(capsys, tmp_path, name, content, message
     assert err.startswith("error:") and message in err
 
 
-
 def test_unexpected_exception_exits_3(capsys, monkeypatch, fib_file):
     def broken(_args):
         raise RuntimeError("simulated fault")
