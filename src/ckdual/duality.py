@@ -94,7 +94,8 @@ def _merge_terms(terms):
 
 
 def hybrid(basis: FockBasis, pairs) -> HybridElement:
-    return HybridElement(basis, list(pairs), [(op.expr, ck) for op, ck in pairs])
+    pairs = list(pairs)  # read twice: terms and provenance
+    return HybridElement(basis, pairs, [(op.expr, ck) for op, ck in pairs])
 
 
 def hybrid_unit(basis: FockBasis) -> HybridElement:

@@ -13,29 +13,24 @@ and the adjoint of an operator is its honest matrix transpose, so
 
 with Kronecker deltas (the coefficients are forced by the inner product).
 
-Truncation is handled explicitly rather than silently: every operator carries
-``valid_up_to``, the largest column word length on which its stored matrix
-agrees with the untruncated operator, and products, sums and adjoints
-propagate it.  Relation checks compare two operators only on the intersection
-of their valid domains and report exact defect columns instead of a bare
-boolean.
+Truncation is explicit: every operator carries ``raise_len`` and
+``lower_len``, bounds on how much it can lengthen and shorten a word, which
+sums, products and adjoints propagate.  No intermediate word of a column of
+length <= ``valid_up_to = m_max - raise_len`` leaves the window, so those
+columns are exact (``adj_valid = m_max - lower_len`` does the same for the
+adjoint; both are clamped at -1).  Relation checks compare two operators on
+the intersection of their valid domains and report exact defect columns.
 
-Storage.  An operator with at most one entry per column is *monomial*: the
-creation operators, their adjoints, the range projections, every product of
-these and the sums that occur in the relations and in the rotation X all
-are.  A monomial operator is stored as two flat maps over its nonzero
-columns, ``tgt`` (column -> row) and ``coef`` (column -> nonzero int).  Only
-an operator with a column of two or more entries is stored in the general
-form ``wide`` (column -> {row: coeff}).  The form is canonical: every
-operation normalizes its result, so an operator is held in the general form
-exactly when some column has two or more entries, and equality and hash can
-compare the stored maps.
-
-Operators are immutable and share these maps: ``scale`` of a monomial
-operator shares its ``tgt``, a general-form sum shares the column dicts it
-leaves unchanged with its operands, and ``cols`` of a general-form operator
-is its ``wide`` itself.  No map reached through an operator
-(``tgt``, ``coef``, ``wide``, ``cols`` or ``column``) may be mutated.
+Storage.  Every operator ckdual builds (the creation operators, their
+adjoints, the range projections, their products, and the sums in the
+relations and in the rotation X) sends each basis word to at most one word.
+So an operator is a weighted partial map, two maps over its nonzero columns:
+``tgt`` (column -> row) and ``coef`` (column -> nonzero int).  A result with
+two entries in one column (a sum whose operands send a column to different
+rows, or the adjoint of a map that is not injective) raises ``ValueError``
+naming the column.  Equality and hash compare the two maps.  Operators are
+immutable and ``scale`` shares ``tgt``: no map reached through an operator
+(``tgt``, ``coef``, ``cols`` or ``column``) may be mutated.
 
 Creation operators are indexed arithmetically, with no word built or looked
 up.  L_k maps its sources, the vacuum and the words w of length < m_max with
@@ -109,59 +104,47 @@ def _star_expr(expr):
 
 
 class FockOperator:
-    """Sparse exact-integer matrix on a FockBasis with truncation bounds.
-
-    ``valid_up_to``: columns indexed by words of length <= valid_up_to equal
-    the untruncated operator's columns.  ``raise_len``/``lower_len`` bound how
-    much the operator can lengthen/shorten a word; products adjust the valid
-    domain by the inner factor's raise.  ``expr`` records how the operator was
-    assembled from generators (used by the hybrid quotient map).
-
-    Storage, in the canonical form of the module docstring: a monomial
-    operator has ``tgt`` and ``coef`` and ``wide is None``; any other has
-    ``wide`` and ``tgt is coef is None``.  No stored column or entry is zero.
-    Equality and hash are by matrix on the same basis, whatever the bounds or
-    ``expr``, so they compare the stored maps; the hash is cached on first
-    use.  Operators are immutable and share maps (``scale`` shares ``tgt``,
-    general-form sums share columns), so nothing reached through an
-    operator may be mutated.
+    """Weighted partial map on a FockBasis (module docstring): ``tgt`` and
+    ``coef`` over the nonzero columns, the length bounds ``raise_len`` and
+    ``lower_len``, and the valid domains derived from them.  ``expr`` records
+    how the operator was assembled from generators (used by the hybrid
+    quotient map).  Equality and hash are by matrix on the same basis,
+    whatever the bounds or ``expr``; the hash is cached on first use.
     """
 
-    __slots__ = ("basis", "tgt", "coef", "wide", "valid_up_to", "adj_valid", "raise_len",
-                 "lower_len", "expr", "_hash")
+    __slots__ = ("basis", "tgt", "coef", "raise_len", "lower_len", "expr", "_hash")
 
-    def __init__(self, basis, tgt, coef, wide, valid_up_to, adj_valid, raise_len, lower_len,
-                 expr):
+    def __init__(self, basis, tgt, coef, raise_len, lower_len, expr):
         self.basis = basis
         self.tgt = tgt
         self.coef = coef
-        self.wide = wide
-        self.valid_up_to = max(valid_up_to, -1)
-        self.adj_valid = max(adj_valid, -1)
         self.raise_len = raise_len
         self.lower_len = lower_len
         self.expr = expr
         self._hash = None
 
     @property
-    def cols(self) -> dict:
-        """The matrix as {column: {row: coeff}} over its nonzero columns.
+    def valid_up_to(self) -> int:
+        """Columns of words of length <= valid_up_to are exact."""
+        return max(self.basis.m_max - self.raise_len, -1)
 
-        Built on every access for a monomial operator, so hot paths use
-        ``support`` and ``column`` instead.
-        """
-        if self.wide is not None:
-            return self.wide
+    @property
+    def adj_valid(self) -> int:
+        """``valid_up_to`` of the adjoint."""
+        return max(self.basis.m_max - self.lower_len, -1)
+
+    @property
+    def cols(self) -> dict:
+        """The matrix as {column: {row: coeff}}, built on every access (hot
+        paths use ``support`` and ``column``)."""
         coef = self.coef
         return {j: {i: coef[j]} for j, i in self.tgt.items()}
 
     def support(self):
         """The indices of the nonzero columns."""
-        return (self.tgt if self.wide is None else self.wide).keys()
+        return self.tgt.keys()
 
     def column(self, j: int) -> dict:
-        if self.wide is not None:
-            return self.wide.get(j, {})
         i = self.tgt.get(j)
         return {} if i is None else {i: self.coef[j]}
 
@@ -169,37 +152,27 @@ class FockOperator:
         if self.basis is not other.basis:
             raise ValueError("operators live on different bases")
 
+    def _two_entries(self, what: str, j: int) -> ValueError:
+        w = word_str(self.basis.words[j])
+        return ValueError(f"{what} has two entries in column {j} (word {w!r}); "
+                          "a Fock operator holds at most one entry per column")
+
     def __add__(self, other: "FockOperator") -> "FockOperator":
         self._same_basis(other)
-        rest = (
-            min(self.valid_up_to, other.valid_up_to),
-            min(self.adj_valid, other.adj_valid),
-            max(self.raise_len, other.raise_len),
-            max(self.lower_len, other.lower_len),
-            ("sum", (self.expr, other.expr)),
-        )
-        if self.wide is None and other.wide is None:
-            merged = _merge_monomials(self, other)
-            if merged is not None:
-                return FockOperator(self.basis, *merged, None, *rest)
-        cols = dict(self.cols)
-        for j, col in other.cols.items():
-            dst = cols.get(j)
-            if dst is None:
-                cols[j] = col
-                continue
-            dst = dict(dst)
-            for i, v in col.items():
-                w = dst.get(i, 0) + v
-                if w:
-                    dst[i] = w
+        xtgt, ytgt = self.tgt, other.tgt
+        tgt, coef = xtgt | ytgt, self.coef | other.coef
+        if len(tgt) < len(xtgt) + len(ytgt):
+            xcoef = self.coef
+            for j in xtgt.keys() & ytgt.keys():
+                if xtgt[j] != ytgt[j]:
+                    raise self._two_entries("the sum", j)
+                v = xcoef[j] + coef[j]
+                if v:
+                    coef[j] = v
                 else:
-                    del dst[i]
-            if dst:
-                cols[j] = dst
-            else:
-                del cols[j]
-        return _from_cols(self.basis, cols, *rest)
+                    del tgt[j], coef[j]
+        return FockOperator(self.basis, tgt, coef, max(self.raise_len, other.raise_len),
+                            max(self.lower_len, other.lower_len), ("sum", (self.expr, other.expr)))
 
     def __neg__(self) -> "FockOperator":
         return self.scale(-1)
@@ -212,61 +185,31 @@ class FockOperator:
             raise TypeError("Fock operators are integer matrices; scale by int")
         if c == 0:
             return zero(self.basis)
-        rest = (self.valid_up_to, self.adj_valid, self.raise_len, self.lower_len,
-                ("scale", c, self.expr))
-        if self.wide is None:
-            coef = {j: c * v for j, v in self.coef.items()}
-            return FockOperator(self.basis, self.tgt, coef, None, *rest)
-        wide = {j: {i: c * v for i, v in col.items()} for j, col in self.wide.items()}
-        return FockOperator(self.basis, None, None, wide, *rest)
+        coef = {j: c * v for j, v in self.coef.items()}
+        return FockOperator(self.basis, self.tgt, coef, self.raise_len, self.lower_len,
+                            ("scale", c, self.expr))
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         self._same_basis(other)
-        rest = (
-            min(other.valid_up_to, self.valid_up_to - other.raise_len),
-            min(self.adj_valid, other.adj_valid - self.lower_len),
-            self.raise_len + other.raise_len,
-            self.lower_len + other.lower_len,
-            ("prod", (self.expr, other.expr)),
-        )
-        if self.wide is None and other.wide is None:
-            atgt, acoef, bcoef = self.tgt, self.coef, other.coef
-            tgt, coef = {}, {}
-            for j, mid in other.tgt.items():
-                i = atgt.get(mid)
-                if i is not None:
-                    tgt[j] = i
-                    coef[j] = acoef[mid] * bcoef[j]
-            return FockOperator(self.basis, tgt, coef, None, *rest)
-        acols = self.cols
-        cols = {}
-        for j, bcol in other.cols.items():
-            out = {}
-            for mid, v in bcol.items():
-                for i, w in acols.get(mid, {}).items():
-                    t = out.get(i, 0) + v * w
-                    if t:
-                        out[i] = t
-                    else:
-                        del out[i]
-            if out:
-                cols[j] = out
-        return _from_cols(self.basis, cols, *rest)
+        atgt, acoef, bcoef = self.tgt, self.coef, other.coef
+        tgt, coef = {}, {}
+        for j, mid in other.tgt.items():
+            i = atgt.get(mid)
+            if i is not None:
+                tgt[j] = i
+                coef[j] = acoef[mid] * bcoef[j]
+        return FockOperator(self.basis, tgt, coef, self.raise_len + other.raise_len,
+                            self.lower_len + other.lower_len, ("prod", (self.expr, other.expr)))
 
     def adjoint(self) -> "FockOperator":
-        rest = (self.adj_valid, self.valid_up_to, self.lower_len, self.raise_len,
-                _star_expr(self.expr))
-        if self.wide is None:
-            src = self.tgt
-            tgt = {i: j for j, i in src.items()}
-            if len(tgt) == len(src):  # injective: the inverse partial map
-                coef = {src[j]: v for j, v in self.coef.items()}
-                return FockOperator(self.basis, tgt, coef, None, *rest)
-        cols = {}
-        for j, col in self.cols.items():
-            for i, v in col.items():
-                cols.setdefault(i, {})[j] = v
-        return _from_cols(self.basis, cols, *rest)
+        """The transpose: the inverse partial map, defined when ``tgt`` is injective."""
+        src = self.tgt
+        tgt = {i: j for j, i in src.items()}
+        if len(tgt) < len(src):
+            raise self._two_entries("the adjoint", next(i for j, i in src.items() if tgt[i] != j))
+        coef = {src[j]: v for j, v in self.coef.items()}
+        return FockOperator(self.basis, tgt, coef, self.lower_len, self.raise_len,
+                            _star_expr(self.expr))
 
     def __eq__(self, other):
         return (
@@ -274,58 +217,25 @@ class FockOperator:
             and self.basis is other.basis
             and self.tgt == other.tgt
             and self.coef == other.coef
-            and self.wide == other.wide
         )
 
     def __hash__(self):
         if self._hash is None:
-            if self.wide is None:
-                self._hash = hash((frozenset(self.tgt.items()), frozenset(self.coef.items())))
-            else:
-                self._hash = hash(frozenset((j, frozenset(c.items()))
-                                            for j, c in self.wide.items()))
+            self._hash = hash((frozenset(self.tgt.items()), frozenset(self.coef.items())))
         return self._hash
 
 
-def _merge_monomials(x: FockOperator, y: FockOperator):
-    """``(tgt, coef)`` of x + y for monomial x and y, or None when a column of
-    x and the same column of y have different rows."""
-    tgt, coef = x.tgt | y.tgt, x.coef | y.coef
-    if len(tgt) < len(x.tgt) + len(y.tgt):
-        xtgt, xcoef = x.tgt, x.coef
-        for j in xtgt.keys() & y.tgt.keys():
-            if xtgt[j] != tgt[j]:
-                return None
-            v = xcoef[j] + coef[j]
-            if v:
-                coef[j] = v
-            else:
-                del tgt[j], coef[j]
-    return tgt, coef
-
-
-def _from_cols(basis, cols, *rest) -> FockOperator:
-    """The operator with the nonzero columns ``cols``, in canonical form."""
-    if any(len(col) > 1 for col in cols.values()):
-        return FockOperator(basis, None, None, cols, *rest)
-    tgt, coef = {}, {}
-    for j, col in cols.items():
-        ((tgt[j], coef[j]),) = col.items()
-    return FockOperator(basis, tgt, coef, None, *rest)
-
-
 def zero(basis: FockBasis) -> FockOperator:
-    return FockOperator(basis, {}, {}, None, basis.m_max, basis.m_max, 0, 0, ("0",))
+    return FockOperator(basis, {}, {}, 0, 0, ("0",))
 
 
 def identity(basis: FockBasis) -> FockOperator:
     every = range(basis.size)
-    return FockOperator(basis, dict(zip(every, every)), dict.fromkeys(every, 1), None,
-                        basis.m_max, basis.m_max, 0, 0, ("I",))
+    return FockOperator(basis, dict(zip(every, every)), dict.fromkeys(every, 1), 0, 0, ("I",))
 
 
 def vacuum_projection(basis: FockBasis) -> FockOperator:
-    return FockOperator(basis, {0: 0}, {0: 1}, None, basis.m_max, basis.m_max, 0, 0, ("P",))
+    return FockOperator(basis, {0: 0}, {0: 1}, 0, 0, ("P",))
 
 
 def build_creation(basis: FockBasis, side: str, k: int) -> FockOperator:
@@ -335,7 +245,7 @@ def build_creation(basis: FockBasis, side: str, k: int) -> FockOperator:
     rule of the module docstring.
 
     Length-raising operators lose the top layer: columns of length m_max map
-    out of the window, so valid_up_to = m_max - 1.
+    out of the window, so raise_len = 1 gives valid_up_to = m_max - 1.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -354,8 +264,7 @@ def build_creation(basis: FockBasis, side: str, k: int) -> FockOperator:
     targets = compress(range(1, basis.size), map(is_k.__getitem__, letters))
     tgt = dict(zip(sources, targets))
     head = "L" if side == "left" else "R"
-    return FockOperator(basis, tgt, dict.fromkeys(tgt, 1), None, basis.m_max - 1, basis.m_max,
-                        1, 0, (head, k0))
+    return FockOperator(basis, tgt, dict.fromkeys(tgt, 1), 1, 0, (head, k0))
 
 
 def commutator(x: FockOperator, y: FockOperator) -> FockOperator:
@@ -394,30 +303,25 @@ class RelationReport:
 def verify_relation(relation: str, lhs: FockOperator, rhs: FockOperator) -> RelationReport:
     """Compare two operators on the intersection of their valid domains.
 
-    Columns are compared as stored; the exact delta is computed only for
-    columns that differ (nonzero, since no stored entry is zero), so no
-    ``lhs - rhs`` operator is built.
+    Only the columns of either support inside the domain are visited; the
+    exact delta is computed only for columns that differ, in basis order, so
+    no ``lhs - rhs`` operator is built.
     """
     lhs._same_basis(rhs)
     basis = lhs.basis
     valid = min(lhs.valid_up_to, rhs.valid_up_to)
-    domain = range(basis.end_of_length(valid))
-    if lhs.wide is None and rhs.wide is None:
-        lt, lc, rt, rc = lhs.tgt, lhs.coef, rhs.tgt, rhs.coef
-        differ = [j for j in domain if lt.get(j) != rt.get(j) or lc.get(j) != rc.get(j)]
-    else:
-        differ = [j for j in domain if lhs.column(j) != rhs.column(j)]
+    end = basis.end_of_length(valid)
+    lt, lc, rt, rc = lhs.tgt, lhs.coef, rhs.tgt, rhs.coef
+    differ = [j for j, i in lt.items() if j < end and (rt.get(j) != i or rc.get(j) != lc[j])]
+    differ += [j for j in rt if j < end and j not in lt]
+    differ.sort()
     defects = []
     for j in differ:
-        delta = dict(lhs.column(j))
+        delta = lhs.column(j)
         for i, v in rhs.column(j).items():
-            t = delta.get(i, 0) - v
-            if t:
-                delta[i] = t
-            else:
-                del delta[i]
+            delta[i] = delta.get(i, 0) - v
         w = basis.words[j]
-        rows = tuple((word_str(basis.words[i]), v) for i, v in sorted(delta.items()))
+        rows = tuple((word_str(basis.words[i]), v) for i, v in sorted(delta.items()) if v)
         defects.append(RelationDefect(word_str(w), len(w), rows))
     return RelationReport(relation, not defects, valid, tuple(defects))
 
@@ -557,7 +461,7 @@ def rotation_operator(basis: FockBasis):
         x = x + build_creation(basis, "left", k).adjoint() @ build_creation(basis, "right", k)
     vacuum = x.column(0).get(0, 0)
     sectors = []
-    for m in range(1, min(x.valid_up_to, basis.m_max) + 1):
+    for m in range(1, x.valid_up_to + 1):
         idxs = list(basis.sector(m))
         dim = len(idxs)
         hit_rows = set()

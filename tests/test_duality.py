@@ -228,6 +228,17 @@ def test_quotient_image_of_W():
         assert ckalg.tensor_equal(quotient_image(w), ckalg.alpha_z(a))
 
 
+def test_hybrid_reads_an_iterator_of_pairs_once():
+    a = FIB
+    b = FockBasis(a, 4)
+    tag = ckalg.o_a(a)
+    pairs = [(build_creation(b, "right", i), ckalg.ck_generator(tag, i).adjoint())
+             for i in range(1, a.n + 1)]
+    w = hybrid(b, iter(pairs))
+    assert len(w.terms) == len(w.prov) == 2
+    assert ckalg.tensor_equal(quotient_image(w), ckalg.alpha_z(a))
+
+
 def test_quotient_kills_vacuum_terms():
     a = ones(2)
     b = FockBasis(a, 4)

@@ -1,13 +1,17 @@
 import copy
 import json
+import operator
 import random
+import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckdual import ckalg
 from ckdual.fock import (
     FockBasis,
+    FockOperator,
     RelationDefect,
     build_creation,
     ck_action_on_word,
@@ -96,8 +100,11 @@ def test_valid_up_to_bookkeeping():
     assert prod.valid_up_to == 3
     assert (prod @ l1).valid_up_to == 2
     assert vacuum_projection(b).valid_up_to == 4
-    assert (l1 + l1.adjoint()).valid_up_to == 3
+    assert (l1 @ l1.adjoint() + vacuum_projection(b)).valid_up_to == 3
     assert l1.adjoint().adjoint().valid_up_to == 3
+    deep = l1 @ l1 @ l1 @ l1 @ l1 @ l1  # raises length by 6 > m_max: clamped
+    assert deep.valid_up_to == -1 and deep.adjoint().adj_valid == -1
+    assert deep.adj_valid == deep.adjoint().valid_up_to == 4
 
 
 def test_equal_operators_hash_equal():
@@ -191,37 +198,60 @@ def test_relation_iv_defect_structure():
                     assert d.length == 1
 
 
+def _attempt(op, *args):
+    """op(*args), or None where the result would hold two entries in a column."""
+    try:
+        return op(*args)
+    except ValueError:
+        return None
+
+
 def test_operations_never_mutate_shared_columns():
-    # operators share maps (``scale`` keeps ``tgt``, general-form sums keep
-    # untouched columns), so no operation may write into an operand's maps;
-    # every operand must keep a deep-copied snapshot
+    # operators share maps (``scale`` keeps ``tgt``), so no operation may
+    # write into an operand's maps, not even one that raises; every operand
+    # must keep a deep-copied snapshot
     b = basis(MIXED4, 4)
     l1, r2 = build_creation(b, "left", 1), build_creation(b, "right", 2)
     l1_star = l1.adjoint()
     proj = l1 @ l1_star
-    total = proj + vacuum_projection(b) + r2
+    total = proj + vacuum_projection(b) - r2 @ r2.adjoint()  # cancels on the words 1...2
     operands = [l1, r2, l1_star, proj, total]
     assert all(x.scale(-2).tgt is x.tgt for x in (l1, r2, l1_star, proj))
     disjoint = proj + vacuum_projection(b)
-    assert disjoint.wide is None and disjoint.tgt == {**proj.tgt, 0: 0}
+    assert disjoint.tgt == {**proj.tgt, 0: 0}
     snapshots = [copy.deepcopy(op.cols) for op in operands]
+    binary = (operator.add, operator.sub, operator.matmul, commutator)
     results = []
     for x in operands:
-        results += [x.scale(3), x.scale(-1), x.adjoint()]
+        results += [x.scale(3), x.scale(-1), _attempt(FockOperator.adjoint, x)]
         for y in operands:
-            results += [x + y, x - y, x @ y, commutator(x, y)]
+            results += [_attempt(f, x, y) for f in binary]
+    results = [x for x in results if x is not None]
     result_snapshots = [copy.deepcopy(op.cols) for op in results]
     for x in results:
-        x.adjoint()
+        _attempt(FockOperator.adjoint, x)
         x.scale(-2)
         for y in operands:
-            x + y, y + x, x - y, y - x, x @ y, y @ x, commutator(x, y)
+            for f in binary:
+                _attempt(f, x, y), _attempt(f, y, x)
     for op, snap in zip(operands + results, snapshots + result_snapshots):
         assert op.cols == snap
 
 
+def test_two_entries_in_a_column_raise():
+    b = basis(FIB, 3)
+    l1, l2 = build_creation(b, "left", 1), build_creation(b, "left", 2)
+    # L_1 xi_1 = xi_11 and L_1* xi_1 = vacuum
+    with pytest.raises(ValueError, match=r"the sum has two entries in column 1 \(word '1'\)"):
+        l1 + l1.adjoint()
+    # L_1* and L_2* both send xi_1 and xi_2 to the vacuum
+    fold = l1.adjoint() + l2.adjoint()
+    with pytest.raises(ValueError, match=r"the adjoint has two entries in column 0 \(word ''\)"):
+        fold.adjoint()
+
+
 # ---------------------------------------------------------------------------
-# the storage forms against a plain dict-of-dicts reference
+# operations against a plain dict-of-dicts reference
 
 
 def _ref_prune(cols):
@@ -276,22 +306,44 @@ _OPERATION = {
 }
 
 
+def _bounds(valid, adj, up, down):
+    """Reference (valid_up_to, adj_valid, raise_len, lower_len), clamped at -1."""
+    return (max(valid, -1), max(adj, -1), up, down)
+
+
+def _bounds_sum(x, y):
+    return _bounds(min(x[0], y[0]), min(x[1], y[1]), max(x[2], y[2]), max(x[3], y[3]))
+
+
+def _bounds_product(x, y):
+    return _bounds(min(y[0], x[0] - y[2]), min(x[1], y[1] - x[3]), x[2] + y[2], x[3] + y[3])
+
+
+def _bounds_adjoint(x):
+    return (x[1], x[0], x[3], x[2])
+
+
+_BOUNDS = {
+    "+": _bounds_sum,
+    "-": _bounds_sum,
+    "@": _bounds_product,
+    "scale": lambda x, y: x,
+    "adjoint": lambda x, y: _bounds_adjoint(x),
+    "commutator": lambda x, y: _bounds_sum(_bounds_product(x, y), _bounds_product(y, x)),
+}
+
+
 def _operator_pool(a, m):
-    """Generators, adjoints, P, 1, 0, and operators in or next to the general form."""
+    """Generators, adjoints, P, 1, 0 and a map that is not injective, each
+    with its reference bounds."""
     b = FockBasis(a, m)
     gens = [build_creation(b, side, k) for side in ("left", "right") for k in range(1, a.n + 1)]
-    l1, r2 = gens[0], gens[a.n + 1]
-    p = vacuum_projection(b)
-    wide = [l1 + l1.adjoint(), l1 @ l1.adjoint() + p + r2]
-    fold = gens[0].adjoint() + gens[1].adjoint()  # monomial, not injective
-    assert all(x.wide is not None for x in wide)
-    assert fold.wide is None and fold.adjoint().wide is not None
-    return gens + [g.adjoint() for g in gens] + [p, identity(b), zero(b), fold] + wide
-
-
-def _is_canonical(op):
-    width = {len(col) for col in op.cols.values()}
-    return (op.wide is None) == (width <= {1})
+    fold = gens[0].adjoint() + gens[1].adjoint()
+    gen, flat = _bounds(m - 1, m, 1, 0), _bounds(m, m, 0, 0)
+    gen_star = _bounds_adjoint(gen)
+    ops = gens + [g.adjoint() for g in gens] + [vacuum_projection(b), identity(b), zero(b), fold]
+    bounds = [gen] * len(gens) + [gen_star] * len(gens) + [flat] * 3 + [_bounds_sum(gen_star, gen_star)]
+    return ops, bounds
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -305,36 +357,31 @@ def _is_canonical(op):
     ),
 )
 def test_operations_match_dict_of_dicts_reference(a, m, steps):
-    pool = _operator_pool(a, m)
+    pool, bounds = _operator_pool(a, m)
     refs = [copy.deepcopy(op.cols) for op in pool]
+    for op, bound in zip(pool, bounds):
+        assert (op.valid_up_to, op.adj_valid, op.raise_len, op.lower_len) == bound
     for kind, i, j, c in steps:
         i, j = i % len(pool), j % len(pool)
-        got = _OPERATION[kind](pool[i], pool[j], c)
         ref = _REFERENCE[kind](refs[i], refs[j], c)
+        crowded = [col for col, entries in ref.items() if len(entries) > 1]
+        if crowded:
+            with pytest.raises(ValueError, match="two entries in column") as err:
+                _OPERATION[kind](pool[i], pool[j], c)
+            assert int(re.search(r"column (\d+)", str(err.value)).group(1)) in crowded
+            continue
+        got = _OPERATION[kind](pool[i], pool[j], c)
+        bound = _BOUNDS[kind](bounds[i], bounds[j])
         assert got.cols == ref, (kind, i, j, c)
-        assert _is_canonical(got)
+        assert (got.valid_up_to, got.adj_valid, got.raise_len, got.lower_len) == bound
         for op, op_ref in zip(pool, refs):
             assert (got == op) == (ref == op_ref)
             if ref == op_ref:
                 assert hash(got) == hash(op)
         pool.append(got)
         refs.append(ref)
+        bounds.append(bound)
 
-
-def test_routes_through_cancelling_wide_operators_give_equal_operators():
-    for a in (FIB, CHORD3, MIXED4):
-        pool = _operator_pool(a, 4)
-        routes = [((x + w) - w, x) for w in pool[-2:] for x in pool]
-        # L_1 L_1* and L_1* L_1 cancel inside the columns of this product
-        l1 = pool[0]
-        l1_star = l1.adjoint()
-        routes.append(((l1 + l1_star) @ (l1 - l1_star),
-                       l1 @ l1 - l1_star @ l1_star + commutator(l1_star, l1)))
-        for y, x in routes:
-            assert y is not x
-            assert y == x and hash(y) == hash(x) and len({x, y}) == 1
-            assert (y.wide is None) == (x.wide is None)
-            assert _is_canonical(y)
 
 def _reference_defects(lhs, rhs):
     # the former construction: walk the columns of lhs - rhs in the valid domain
@@ -364,6 +411,16 @@ def test_verify_relation_matches_difference_oracle():
                     assert rep.valid_up_to == min(x.valid_up_to, y.valid_up_to)
                     seen_defects += len(expected)
     assert seen_defects
+
+
+def test_verify_relation_reports_columns_in_basis_order():
+    # the sum stores the columns of the words 1... before those of the words 2...
+    b = basis(ones(2), 3)
+    l1, l2 = build_creation(b, "left", 1), build_creation(b, "left", 2)
+    lhs = l1 @ l1.adjoint() + l2 @ l2.adjoint()
+    assert list(lhs.support()) != sorted(lhs.support())
+    rep = verify_relation("ranges", lhs, zero(b))
+    assert [d.column for d in rep.defects] == ["1", "2", "11", "12", "21", "22"]
 
 
 def test_relation_report_json():
