@@ -18,10 +18,14 @@ L_k (x) 1 while [W*, L_k (x) 1] is P (x) s_k up to an explicit rank-one
 defect when row k of A has zeros; and V_k = W*(L_k (x) 1) satisfies the
 shift/isometry relations that present the Toeplitz algebra tensor O_A.
 
-Comparisons run column by column over the shared valid domain, and every
-discrepancy is reported as a structured defect tagged with the column word
-and its length - a defect is a first-class output, not a failure of the
-engine.
+Truncation is carried as on a ``FockOperator``: every element has
+``raise_len`` and ``lower_len``, bounds over every operator it was built
+from, including terms that cancel in a sum or are empty after truncation, so
+``valid_up_to = m_max - raise_len`` is sound for the element as written.
+Comparisons make one pass over the partial maps of both sides inside the
+shared valid domain, and every discrepancy is reported as a structured defect
+tagged with the column word and its length - a defect is a first-class
+output, not a failure of the engine.
 """
 
 from __future__ import annotations
@@ -43,23 +47,32 @@ class HybridElement:
 
     ``terms`` is merged by operator value (``FockOperator`` equality and hash
     are by matrix), in order of first appearance; ``prov`` keeps the unmerged
-    generator-expression provenance used by the quotient map.
+    generator-expression provenance used by the quotient map.  ``raise_len``
+    and ``lower_len`` are fixed before merging, as the maximum over every
+    constituent operator: ``+`` takes the maximum, ``hybrid_mul`` adds,
+    ``adjoint`` swaps and ``scale`` keeps them, so a cancelled or empty term
+    still narrows ``valid_up_to``.
     """
 
-    __slots__ = ("basis", "terms", "prov")
+    __slots__ = ("basis", "terms", "prov", "raise_len", "lower_len")
 
-    def __init__(self, basis: FockBasis, terms, prov):
+    def __init__(self, basis: FockBasis, terms, prov, raise_len: int, lower_len: int):
         self.basis = basis
         self.terms = _merge_terms(terms)
         self.prov = tuple(prov)
+        self.raise_len = raise_len
+        self.lower_len = lower_len
 
     @property
     def valid_up_to(self) -> int:
-        return min((op.valid_up_to for op, _ in self.terms), default=self.basis.m_max)
+        """Columns of words of length <= valid_up_to are exact."""
+        return max(self.basis.m_max - self.raise_len, -1)
 
     def __add__(self, other):
         self._compatible(other)
-        return HybridElement(self.basis, self.terms + other.terms, self.prov + other.prov)
+        return HybridElement(self.basis, self.terms + other.terms, self.prov + other.prov,
+                             max(self.raise_len, other.raise_len),
+                             max(self.lower_len, other.lower_len))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -69,6 +82,8 @@ class HybridElement:
             self.basis,
             [(op, ck.scale(c)) for op, ck in self.terms],
             [(e, ck.scale(c)) for e, ck in self.prov],
+            self.raise_len,
+            self.lower_len,
         )
 
     def adjoint(self) -> "HybridElement":
@@ -76,6 +91,8 @@ class HybridElement:
             self.basis,
             [(op.adjoint(), ck.adjoint()) for op, ck in self.terms],
             [(_star_expr(e), ck.adjoint()) for e, ck in self.prov],
+            self.lower_len,
+            self.raise_len,
         )
 
     def _compatible(self, other: "HybridElement"):
@@ -86,7 +103,7 @@ class HybridElement:
 def _merge_terms(terms):
     merged = {}
     for op, ck in terms:
-        if not op.support() or ck.is_structurally_zero():
+        if not op.tgt or ck.is_structurally_zero():
             continue
         prev = merged.get(op)
         merged[op] = ck if prev is None else prev + ck
@@ -94,8 +111,10 @@ def _merge_terms(terms):
 
 
 def hybrid(basis: FockBasis, pairs) -> HybridElement:
-    pairs = list(pairs)  # read twice: terms and provenance
-    return HybridElement(basis, pairs, [(op.expr, ck) for op, ck in pairs])
+    pairs = list(pairs)  # read three times: terms, provenance and bounds
+    return HybridElement(basis, pairs, [(op.expr, ck) for op, ck in pairs],
+                         max((op.raise_len for op, _ in pairs), default=0),
+                         max((op.lower_len for op, _ in pairs), default=0))
 
 
 def hybrid_unit(basis: FockBasis) -> HybridElement:
@@ -112,7 +131,8 @@ def hybrid_mul(x: HybridElement, y: HybridElement) -> HybridElement:
     for e1, ck1 in x.prov:
         for e2, ck2 in y.prov:
             prov.append((("prod", (e1, e2)), ck1 * ck2))
-    return HybridElement(x.basis, terms, prov)
+    return HybridElement(x.basis, terms, prov, x.raise_len + y.raise_len,
+                         x.lower_len + y.lower_len)
 
 
 def build_W(basis: FockBasis) -> HybridElement:
@@ -136,7 +156,7 @@ def vacuum_tensor(basis: FockBasis, ck: TensorElement) -> HybridElement:
 
 
 def hybrid_zero(basis: FockBasis) -> HybridElement:
-    return HybridElement(basis, [], [])
+    return HybridElement(basis, [], [], 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,28 +180,33 @@ class DefectColumn:
 def hybrid_defects(x: HybridElement, y: HybridElement):
     """Columns of the shared valid domain where x and y differ; exact entries.
 
-    Only columns that some term of ``x - y`` touches are visited, in basis
-    order.
+    One pass over the ``tgt``/``coef`` maps of the terms of both sides adds
+    each entry of x - y inside the domain, with sign +1 for x and -1 for y,
+    so no difference element is built.  The touched entries are then
+    zero-tested and rendered in basis order, columns first, then rows.
     """
-    diff = x - y
-    basis = diff.basis
-    factors = (ckalg.o_a(basis.matrix),)
+    x._compatible(y)
+    basis = x.basis
     valid = min(x.valid_up_to, y.valid_up_to)
     end = basis.end_of_length(valid)
-    touched = set()
-    for op, _ck in diff.terms:
-        touched.update(j for j in op.support() if j < end)
+    # column -> [row, signed coefficient, symbolic factor, row, ...]: one flat
+    # list per column, since every column of the domain is held at once
+    diff = {}
+    for sign, side in ((1, x), (-1, y)):
+        for op, ck in side.terms:
+            coef = op.coef
+            for j, i in op.tgt.items():
+                if j < end:
+                    diff.setdefault(j, []).extend((i, sign * coef[j], ck))
+    factors = (ckalg.o_a(basis.matrix),)
     defects = []
-    for j in sorted(touched):
-        rows = {}  # row index -> coefficients of the symbolic entry
-        for op, ck in diff.terms:
-            col = op.column(j)
-            if not col:
-                continue
-            for i, v in col.items():
-                row = rows.setdefault(i, {})
-                for key, c in ck.terms.items():
-                    row[key] = row.get(key, 0) + c * v
+    for j in sorted(diff):
+        rows = {}  # row -> coefficients of the symbolic entry
+        flat = diff[j]
+        for i, v, ck in zip(flat[::3], flat[1::3], flat[2::3]):
+            entry = rows.setdefault(i, {})
+            for key, c in ck.terms.items():
+                entry[key] = entry.get(key, 0) + c * v
         entries = []
         for i in sorted(rows):
             entry = TensorElement(factors, rows[i])
@@ -315,6 +340,11 @@ def _w_w_expansion(basis: FockBasis) -> HybridElement:
     return hybrid(basis, pairs)
 
 
+def _commutator(x: HybridElement, y: HybridElement) -> HybridElement:
+    """xy - yx."""
+    return hybrid_mul(x, y) - hybrid_mul(y, x)
+
+
 def verify_lemma_W(basis: FockBasis) -> LemmaReport:
     """The six identities for W = sum_i R_i (x) s_i*.
 
@@ -323,40 +353,52 @@ def verify_lemma_W(basis: FockBasis) -> LemmaReport:
     exact rank-one defect -|xi_k><xi_i| (x) s_i on the length-1 column i.
     """
     a = basis.matrix
+    tag = ckalg.o_a(a)
     w = build_W(basis)
     w_star = w.adjoint()
-    p1 = vacuum_tensor(basis, ck_unit(ckalg.o_a(a)))
+    w_star_w = hybrid_mul(w_star, w)
+    p1 = vacuum_tensor(basis, ck_unit(tag))
     items = [
         _symbolic_item("i", quotient_image(w), ckalg.alpha_z(a)),
-        _hybrid_item("ii", hybrid_mul(w_star, w), _w_w_expansion(basis)),
-        _hybrid_item("iii", hybrid_mul(w_star, w) - hybrid_mul(w, w_star), p1),
+        _hybrid_item("ii", w_star_w, _w_w_expansion(basis)),
+        _hybrid_item("iii", w_star_w - hybrid_mul(w, w_star), p1),
         _hybrid_item("iv", hybrid_mul(p1, w), hybrid_zero(basis)),
     ]
+    del w_star_w  # large; no later item needs it
+    v_items, vi_items = [], []
     for k in range(1, a.n + 1):
         lk = left_creation_tensor_unit(basis, k)
-        items.append(
-            _hybrid_item(
-                f"v(k={k})",
-                hybrid_mul(w, lk) - hybrid_mul(lk, w),
-                hybrid_zero(basis),
-            )
-        )
-    for k in range(1, a.n + 1):
-        lk = left_creation_tensor_unit(basis, k)
-        s_k = ckalg.ck_generator(ckalg.o_a(a), k)
-        items.append(
-            _hybrid_item(
-                f"vi(k={k})",
-                hybrid_mul(w_star, lk) - hybrid_mul(lk, w_star),
-                vacuum_tensor(basis, s_k),
-            )
-        )
-    return LemmaReport("W", basis.m_max, a.to_json(), tuple(items))
+        v_items.append(_hybrid_item(f"v(k={k})", _commutator(w, lk), hybrid_zero(basis)))
+        vi_items.append(_hybrid_item(f"vi(k={k})", _commutator(w_star, lk),
+                                     vacuum_tensor(basis, ckalg.ck_generator(tag, k))))
+    return LemmaReport("W", basis.m_max, a.to_json(), tuple(items + v_items + vi_items))
 
 
 def _generator_triple(a, k: int) -> TensorElement:
     """s_k (x) 1 (x) 1."""
     return ckalg.tensor_elem(ckalg.triple_factors(a), ((((k - 1,), ()), ((), ()), ((), ()))))
+
+
+def _w_and_v(basis: FockBasis):
+    """W, W*, the V_k = W* (L_k (x) 1), their adjoints and the range
+    projections V_k V_k*, each built once (k = 1..n in list order)."""
+    w = build_W(basis)
+    w_star = w.adjoint()
+    vs = [hybrid_mul(w_star, left_creation_tensor_unit(basis, k))
+          for k in range(1, basis.matrix.n + 1)]
+    vs_star = [v.adjoint() for v in vs]
+    ranges = [hybrid_mul(v, v_star) for v, v_star in zip(vs, vs_star)]
+    return w, w_star, vs, vs_star, ranges
+
+
+def _range_items(basis: FockBasis, label: str, vs, vs_star, ranges) -> list:
+    """V_k* V_k = sum_j A[k][j] V_j V_j*, one item per k."""
+    a = basis.matrix
+    return [
+        _hybrid_item(f"{label}(k={k + 1})", hybrid_mul(vs_star[k], vs[k]),
+                     sum((r for j, r in enumerate(ranges) if a.entry(k, j)), hybrid_zero(basis)))
+        for k in range(a.n)
+    ]
 
 
 def verify_lemma_V(basis: FockBasis) -> LemmaReport:
@@ -367,48 +409,19 @@ def verify_lemma_V(basis: FockBasis) -> LemmaReport:
     the conjugate-generator transport.
     """
     a = basis.matrix
-    w = build_W(basis)
-    w_star = w.adjoint()
-    vs = [hybrid_mul(w_star, left_creation_tensor_unit(basis, k)) for k in range(1, a.n + 1)]
+    w, w_star, vs, vs_star, ranges = _w_and_v(basis)
     alpha_conj = ckalg.alpha_z(a).adjoint()
-    items = []
-    for k in range(1, a.n + 1):
-        items.append(
-            _symbolic_item(
-                f"i(k={k})",
-                quotient_image(vs[k - 1]),
-                ckalg.ck_multiply(alpha_conj, _generator_triple(a, k)),
-                note="compared against the adjoint circle transport",
-            )
-        )
-    sum_vv = hybrid_zero(basis)
-    for v in vs:
-        sum_vv = sum_vv + hybrid_mul(v, v.adjoint())
-    items.append(_hybrid_item("ii", sum_vv, hybrid_mul(w_star, w)))
-    for k in range(1, a.n + 1):
-        v_k = vs[k - 1]
-        rhs = hybrid_zero(basis)
-        for j in range(1, a.n + 1):
-            if a.entry(k - 1, j - 1):
-                v_j = vs[j - 1]
-                rhs = rhs + hybrid_mul(v_j, v_j.adjoint())
-        items.append(_hybrid_item(f"iii(k={k})", hybrid_mul(v_k.adjoint(), v_k), rhs))
-    for k in range(1, a.n + 1):
-        v_k = vs[k - 1]
-        items.append(
-            _hybrid_item(
-                f"iv(k={k})", hybrid_mul(w, v_k) - hybrid_mul(v_k, w), hybrid_zero(basis)
-            )
-        )
-    for k in range(1, a.n + 1):
-        v_k = vs[k - 1]
-        items.append(
-            _hybrid_item(
-                f"v(k={k})",
-                hybrid_mul(w_star, v_k) - hybrid_mul(v_k, w_star),
-                hybrid_zero(basis),
-            )
-        )
+    items = [_symbolic_item(f"i(k={k})", quotient_image(v_k),
+                            ckalg.ck_multiply(alpha_conj, _generator_triple(a, k)),
+                            note="compared against the adjoint circle transport")
+             for k, v_k in enumerate(vs, 1)]
+    items.append(_hybrid_item("ii", sum(ranges, hybrid_zero(basis)), hybrid_mul(w_star, w)))
+    items += _range_items(basis, "iii", vs, vs_star, ranges)
+    del vs_star, ranges  # large; no later item needs them
+    items += [_hybrid_item(f"iv(k={k})", _commutator(w, v_k), hybrid_zero(basis))
+              for k, v_k in enumerate(vs, 1)]
+    items += [_hybrid_item(f"v(k={k})", _commutator(w_star, v_k), hybrid_zero(basis))
+              for k, v_k in enumerate(vs, 1)]
     return LemmaReport("V", basis.m_max, a.to_json(), tuple(items))
 
 
@@ -420,26 +433,14 @@ def verify_toeplitz_untwist(basis: FockBasis) -> LemmaReport:
     defining range relations relative to that unit.
     """
     a = basis.matrix
-    w = build_W(basis)
-    w_star = w.adjoint()
+    w, w_star, vs, vs_star, ranges = _w_and_v(basis)
     unit = hybrid_mul(w_star, w)
-    vs = [hybrid_mul(w_star, left_creation_tensor_unit(basis, k)) for k in range(1, a.n + 1)]
-    items = []
-    for k in range(1, a.n + 1):
-        items.append(_hybrid_item(f"unit(k={k})", hybrid_mul(unit, vs[k - 1]), vs[k - 1]))
-    for k in range(1, a.n + 1):
-        rhs = hybrid_zero(basis)
-        for j in range(1, a.n + 1):
-            if a.entry(k - 1, j - 1):
-                rhs = rhs + hybrid_mul(vs[j - 1], vs[j - 1].adjoint())
-        items.append(_hybrid_item(f"range(k={k})", hybrid_mul(vs[k - 1].adjoint(), vs[k - 1]), rhs))
-    items.append(
-        _hybrid_item(
-            "shift",
-            unit - hybrid_mul(w, w_star),
-            vacuum_tensor(basis, ck_unit(ckalg.o_a(a))),
-        )
-    )
+    items = [_hybrid_item(f"unit(k={k})", hybrid_mul(unit, v_k), v_k)
+             for k, v_k in enumerate(vs, 1)]
+    items += _range_items(basis, "range", vs, vs_star, ranges)
+    del vs_star, ranges  # large; no later item needs them
+    p1 = vacuum_tensor(basis, ck_unit(ckalg.o_a(a)))
+    items.append(_hybrid_item("shift", unit - hybrid_mul(w, w_star), p1))
     items.append(_hybrid_item("idempotent", hybrid_mul(unit, unit), unit))
     return LemmaReport("toeplitz", basis.m_max, a.to_json(), tuple(items))
 

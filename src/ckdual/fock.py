@@ -105,8 +105,9 @@ def _star_expr(expr):
 
 class FockOperator:
     """Weighted partial map on a FockBasis (module docstring): ``tgt`` and
-    ``coef`` over the nonzero columns, the length bounds ``raise_len`` and
-    ``lower_len``, and the valid domains derived from them.  ``expr`` records
+    ``coef`` over the nonzero columns (the keys of ``tgt`` are the support),
+    the length bounds ``raise_len`` and ``lower_len``, and the valid domains
+    derived from them.  ``expr`` records
     how the operator was assembled from generators (used by the hybrid
     quotient map).  Equality and hash are by matrix on the same basis,
     whatever the bounds or ``expr``; the hash is cached on first use.
@@ -136,13 +137,9 @@ class FockOperator:
     @property
     def cols(self) -> dict:
         """The matrix as {column: {row: coeff}}, built on every access (hot
-        paths use ``support`` and ``column``)."""
+        paths read ``tgt`` and ``coef``)."""
         coef = self.coef
         return {j: {i: coef[j]} for j, i in self.tgt.items()}
-
-    def support(self):
-        """The indices of the nonzero columns."""
-        return self.tgt.keys()
 
     def column(self, j: int) -> dict:
         i = self.tgt.get(j)

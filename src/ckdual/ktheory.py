@@ -36,10 +36,6 @@ def one_minus_transpose(a: ZeroOneMatrix) -> IntMatrix:
     )
 
 
-def _free(rank: int) -> FGAbelianGroup:
-    return FGAbelianGroup(rank, ())
-
-
 @dataclass(frozen=True)
 class AlgebraKTheory:
     k0: FGAbelianGroup
@@ -94,8 +90,8 @@ def _algebra_groups(a: ZeroOneMatrix) -> AlgebraKTheory:
     pres = one_minus(a)
     return AlgebraKTheory(
         k0=cokernel(pres_t, n),
-        k1=_free(len(kernel_basis(pres_t))),
-        khom0=_free(len(kernel_basis(pres))),
+        k1=FGAbelianGroup(len(kernel_basis(pres_t)), ()),
+        khom0=FGAbelianGroup(len(kernel_basis(pres)), ()),
         khom1=cokernel(pres, n),
     )
 

@@ -6,6 +6,7 @@ import pytest
 from ckdual import ckalg
 from ckdual.duality import (
     BasisMismatchError,
+    DefectColumn,
     build_W,
     hybrid,
     hybrid_defects,
@@ -20,9 +21,10 @@ from ckdual.duality import (
     verify_lemmas,
     verify_toeplitz_untwist,
 )
-from ckdual.fock import FockBasis, build_creation
+from ckdual.fock import FockBasis, build_creation, identity, vacuum_projection
+from ckdual.sft import word_str
 
-from helpers import FIB, all_valid_matrices, ones, random_ck, relation_family
+from helpers import CHORD3, FIB, MIXED4, all_valid_matrices, ones, random_ck, relation_family
 
 
 def one_letter():
@@ -287,3 +289,97 @@ def test_basis_mismatch_rejected():
     w2 = build_W(FockBasis(ones(2), 5))
     with pytest.raises(BasisMismatchError):
         hybrid_mul(w1, w2)
+    with pytest.raises(BasisMismatchError):
+        hybrid_defects(w1, w2)
+    with pytest.raises(BasisMismatchError):
+        w1 + w2
+
+
+def test_hybrid_domain_counts_cancelled_and_empty_terms():
+    b = FockBasis(ones(2), 2)
+    one = ckalg.ck_unit(ckalg.o_a(b.matrix))
+    l1 = build_creation(b, "left", 1)
+    # L_1^3 xi_() = xi_111 leaves the window, so the truncated matrix is 0
+    # but the element is exact on no column at all
+    cube = hybrid(b, [(l1 @ l1 @ l1, one)])
+    assert cube.terms == ()
+    assert cube.valid_up_to == -1
+    assert hybrid_defects(cube, hybrid_zero(b)) == (-1, ())
+    # L_1 (x) 1 is exact up to length 1, and so is l - l although it is empty
+    l = left_creation_tensor_unit(b, 1)
+    assert (l - l).terms == ()
+    assert l.valid_up_to == (l - l).valid_up_to == (l - l).scale(3).valid_up_to == 1
+    assert hybrid_mul(l, l).valid_up_to == 0
+    l_star = l.adjoint()
+    assert (l_star.raise_len, l_star.lower_len, l_star.valid_up_to) == (0, 1, 2)
+    assert (l_star + l).valid_up_to == hybrid_mul(l_star, l).valid_up_to == 1
+
+
+def _dense_defects(x, y):
+    """Reference scan: x - y built densely from ``op.cols``, one column of
+    the shared valid domain at a time, with ``ck_is_zero`` on each entry."""
+    basis = x.basis
+    zero = ckalg.ck_zero(ckalg.o_a(basis.matrix))
+    valid = min(x.valid_up_to, y.valid_up_to)
+    terms = [(op.cols, ck.scale(sign)) for sign, side in ((1, x), (-1, y)) for op, ck in side.terms]
+    defects = []
+    for j in range(basis.end_of_length(valid)):
+        col = {}
+        for cols, ck in terms:
+            for i, v in cols.get(j, {}).items():
+                col[i] = col.get(i, zero) + ck.scale(v)
+        entries = tuple((word_str(basis.words[i]), str(e))
+                        for i, e in sorted(col.items()) if not ckalg.ck_is_zero(e))
+        if entries:
+            w = basis.words[j]
+            defects.append(DefectColumn(word_str(w), len(w), entries))
+    return valid, tuple(defects)
+
+
+def test_defect_scan_matches_dense_reference():
+    rng = random.Random(808)
+    seen_defects = seen_clean = 0
+    for a in (FIB, CHORD3, MIXED4):
+        tag = ckalg.o_a(a)
+        for m in range(1, 6):
+            b = FockBasis(a, m)
+            atoms = [identity(b), vacuum_projection(b)]
+            for k in range(1, a.n + 1):
+                for side in ("left", "right"):
+                    op = build_creation(b, side, k)
+                    atoms += [op, op.adjoint()]
+
+            def pair():
+                op = rng.choice(atoms)
+                if rng.random() < 0.5:
+                    op = op @ rng.choice(atoms)
+                if rng.random() < 0.5:
+                    op = op.scale(rng.choice((-2, -1, 2, 3)))
+                return op, random_ck(rng, tag, 2, 2)
+
+            for _ in range(6):
+                pairs = [pair() for _ in range(rng.randint(1, 3))]
+                x = hybrid(b, pairs)
+                # y repeats x with equal operators built anew, some symbolic
+                # factors split in two, a pair that cancels, and mostly a
+                # term of its own
+                y_pairs = []
+                for op, ck in pairs:
+                    op = identity(b) @ op
+                    if rng.random() < 0.3:
+                        part = random_ck(rng, tag, 1, 2)
+                        y_pairs += [(op, part), (op, ck - part)]
+                    else:
+                        y_pairs.append((op, ck))
+                if rng.random() < 0.5:
+                    op, ck = pair()
+                    y_pairs += [(op, ck), (op, -ck)]
+                if rng.random() < 0.7:
+                    y_pairs.append(pair())
+                y = hybrid(b, y_pairs)
+                for lhs, rhs in ((x, y), (y, x), (hybrid_mul(x, y), hybrid_mul(y, x))):
+                    got = hybrid_defects(lhs, rhs)
+                    assert got == _dense_defects(lhs, rhs), (a.rows, m)
+                    seen_defects += bool(got[1])
+                    seen_clean += not got[1]
+    assert seen_defects > 50 and seen_clean > 20, (seen_defects, seen_clean)

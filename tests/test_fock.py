@@ -418,7 +418,7 @@ def test_verify_relation_reports_columns_in_basis_order():
     b = basis(ones(2), 3)
     l1, l2 = build_creation(b, "left", 1), build_creation(b, "left", 2)
     lhs = l1 @ l1.adjoint() + l2 @ l2.adjoint()
-    assert list(lhs.support()) != sorted(lhs.support())
+    assert list(lhs.tgt) != sorted(lhs.tgt)
     rep = verify_relation("ranges", lhs, zero(b))
     assert [d.column for d in rep.defects] == ["1", "2", "11", "12", "21", "22"]
 
