@@ -18,6 +18,11 @@ L_k (x) 1 while [W*, L_k (x) 1] is P (x) s_k up to an explicit rank-one
 defect when row k of A has zeros; and V_k = W*(L_k (x) 1) satisfies the
 shift/isometry relations that present the Toeplitz algebra tensor O_A.
 
+The quotient map is carried by the elements, not by the Fock operators: the
+hybrid generators supply the image of their operator in O_A (x) O_{A^T}
+(R_i -> 1 (x) t_i, L_k -> s_k (x) 1, P -> 0, I -> 1 (x) 1), and the algebra
+acts on the images alongside the terms.
+
 Truncation is carried as on a ``FockOperator``: every element has
 ``raise_len`` and ``lower_len``, bounds over every operator it was built
 from, including terms that cancel in a sum or are empty after truncation, so
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field
 
 from . import ckalg
 from .ckalg import TensorElement, ck_is_zero, ck_unit
-from .fock import FockBasis, _star_expr, build_creation, identity, vacuum_projection
+from .fock import FockBasis, build_creation, identity, vacuum_projection
 from .sft import word_str
 
 
@@ -46,12 +51,15 @@ class HybridElement:
     """Sum of (FockOperator, one-factor TensorElement) pairs over a shared basis.
 
     ``terms`` is merged by operator value (``FockOperator`` equality and hash
-    are by matrix), in order of first appearance; ``prov`` keeps the unmerged
-    generator-expression provenance used by the quotient map.  ``raise_len``
-    and ``lower_len`` are fixed before merging, as the maximum over every
-    constituent operator: ``+`` takes the maximum, ``hybrid_mul`` adds,
-    ``adjoint`` swaps and ``scale`` keeps them, so a cancelled or empty term
-    still narrows ``valid_up_to``.
+    are by matrix), in order of first appearance.  ``prov`` keeps the
+    unmerged data of the quotient map, a pair (q, ck) per term as written,
+    with q the image of its operator in O_A (x) O_{A^T}; merging and
+    truncation can empty a term whose image is not zero.  It is None for an
+    element built from raw operators.  ``raise_len`` and ``lower_len`` are
+    fixed before merging, as the maximum over every constituent operator:
+    ``+`` takes the maximum, ``hybrid_mul`` adds, ``adjoint`` swaps and
+    ``scale`` keeps them, so a cancelled or empty term still narrows
+    ``valid_up_to``.
     """
 
     __slots__ = ("basis", "terms", "prov", "raise_len", "lower_len")
@@ -59,7 +67,7 @@ class HybridElement:
     def __init__(self, basis: FockBasis, terms, prov, raise_len: int, lower_len: int):
         self.basis = basis
         self.terms = _merge_terms(terms)
-        self.prov = tuple(prov)
+        self.prov = None if prov is None else tuple(prov)
         self.raise_len = raise_len
         self.lower_len = lower_len
 
@@ -70,7 +78,8 @@ class HybridElement:
 
     def __add__(self, other):
         self._compatible(other)
-        return HybridElement(self.basis, self.terms + other.terms, self.prov + other.prov,
+        prov = None if self.prov is None or other.prov is None else self.prov + other.prov
+        return HybridElement(self.basis, self.terms + other.terms, prov,
                              max(self.raise_len, other.raise_len),
                              max(self.lower_len, other.lower_len))
 
@@ -81,7 +90,7 @@ class HybridElement:
         return HybridElement(
             self.basis,
             [(op, ck.scale(c)) for op, ck in self.terms],
-            [(e, ck.scale(c)) for e, ck in self.prov],
+            None if self.prov is None else [(q, ck.scale(c)) for q, ck in self.prov],
             self.raise_len,
             self.lower_len,
         )
@@ -90,7 +99,7 @@ class HybridElement:
         return HybridElement(
             self.basis,
             [(op.adjoint(), ck.adjoint()) for op, ck in self.terms],
-            [(_star_expr(e), ck.adjoint()) for e, ck in self.prov],
+            None if self.prov is None else [(q.adjoint(), ck.adjoint()) for q, ck in self.prov],
             self.lower_len,
             self.raise_len,
         )
@@ -110,49 +119,61 @@ def _merge_terms(terms):
     return tuple((op, ck) for op, ck in merged.items() if not ck.is_structurally_zero())
 
 
-def hybrid(basis: FockBasis, pairs) -> HybridElement:
-    pairs = list(pairs)  # read three times: terms, provenance and bounds
-    return HybridElement(basis, pairs, [(op.expr, ck) for op, ck in pairs],
+def hybrid(basis: FockBasis, pairs, images=None) -> HybridElement:
+    """The sum of the (operator, ck) pairs.  ``images`` gives the quotient
+    image of each operator in O_A (x) O_{A^T}, in order; without it the
+    element has no quotient image."""
+    pairs = list(pairs)  # read three times: terms, images and bounds
+    prov = None if images is None else list(zip(images, (ck for _op, ck in pairs), strict=True))
+    return HybridElement(basis, pairs, prov,
                          max((op.raise_len for op, _ in pairs), default=0),
                          max((op.lower_len for op, _ in pairs), default=0))
 
 
+def _pair_factors(basis: FockBasis):
+    """O_A (x) O_{A^T}, where the quotient images of operators live."""
+    return (ckalg.o_a(basis.matrix), ckalg.o_at(basis.matrix))
+
+
 def hybrid_unit(basis: FockBasis) -> HybridElement:
-    return hybrid(basis, [(identity(basis), ck_unit(ckalg.o_a(basis.matrix)))])
+    """I (x) 1, with I -> 1 (x) 1."""
+    return hybrid(basis, [(identity(basis), ck_unit(ckalg.o_a(basis.matrix)))],
+                  [ckalg.tensor_unit(_pair_factors(basis))])
 
 
 def hybrid_mul(x: HybridElement, y: HybridElement) -> HybridElement:
+    """xy; a pair whose image product is structurally zero leaves ``prov``."""
     x._compatible(y)
-    terms = []
-    prov = []
-    for op1, ck1 in x.terms:
-        for op2, ck2 in y.terms:
-            terms.append((op1 @ op2, ck1 * ck2))
-    for e1, ck1 in x.prov:
-        for e2, ck2 in y.prov:
-            prov.append((("prod", (e1, e2)), ck1 * ck2))
+    terms = [(op1 @ op2, ck1 * ck2) for op1, ck1 in x.terms for op2, ck2 in y.terms]
+    prov = None
+    if x.prov is not None and y.prov is not None:
+        products = ((ckalg.ck_multiply(q1, q2), ck1, ck2)
+                    for q1, ck1 in x.prov for q2, ck2 in y.prov)
+        prov = [(q, ck1 * ck2) for q, ck1, ck2 in products if not q.is_structurally_zero()]
     return HybridElement(x.basis, terms, prov, x.raise_len + y.raise_len,
                          x.lower_len + y.lower_len)
 
 
 def build_W(basis: FockBasis) -> HybridElement:
-    """W = sum_i R_i (x) s_i*."""
-    tag = ckalg.o_a(basis.matrix)
-    pairs = []
-    for i in range(basis.matrix.n):
-        s_i_star = ckalg.ck_generator(tag, i + 1).adjoint()
-        pairs.append((build_creation(basis, "right", i + 1), s_i_star))
-    return hybrid(basis, pairs)
+    """W = sum_i R_i (x) s_i*, with R_i -> 1 (x) t_i."""
+    tag, factors, n = ckalg.o_a(basis.matrix), _pair_factors(basis), basis.matrix.n
+    pairs = [(build_creation(basis, "right", i + 1), ckalg.ck_generator(tag, i + 1).adjoint())
+             for i in range(n)]
+    images = [ckalg.tensor_elem(factors, (((), ()), ((i,), ()))) for i in range(n)]
+    return hybrid(basis, pairs, images)
 
 
 def left_creation_tensor_unit(basis: FockBasis, k: int) -> HybridElement:
-    """L_k (x) 1."""
-    return hybrid(basis, [(build_creation(basis, "left", k), ck_unit(ckalg.o_a(basis.matrix)))])
+    """L_k (x) 1, with L_k -> s_k (x) 1."""
+    image = ckalg.tensor_elem(_pair_factors(basis), (((k - 1,), ()), ((), ())))
+    return hybrid(basis, [(build_creation(basis, "left", k), ck_unit(ckalg.o_a(basis.matrix)))],
+                  [image])
 
 
 def vacuum_tensor(basis: FockBasis, ck: TensorElement) -> HybridElement:
-    """P (x) ck for the vacuum projection P."""
-    return hybrid(basis, [(vacuum_projection(basis), ck)])
+    """P (x) ck for the vacuum projection P, with the compact P -> 0."""
+    return hybrid(basis, [(vacuum_projection(basis), ck)],
+                  [ckalg.tensor_zero(_pair_factors(basis))])
 
 
 def hybrid_zero(basis: FockBasis) -> HybridElement:
@@ -219,56 +240,26 @@ def hybrid_defects(x: HybridElement, y: HybridElement):
 
 
 # ---------------------------------------------------------------------------
-# the quotient map (defined on generator-expression provenance only)
-
-
-def _expr_quotient(expr, factors):
-    head = expr[0]
-    if head == "L":
-        return ckalg.tensor_elem(factors, ((((expr[1],), ()), ((), ()))))
-    if head == "L*":
-        return ckalg.tensor_elem(factors, ((((), (expr[1],)), ((), ()))))
-    if head == "R":
-        return ckalg.tensor_elem(factors, ((((), ()), ((expr[1],), ()))))
-    if head == "R*":
-        return ckalg.tensor_elem(factors, ((((), ()), ((), (expr[1],)))))
-    if head in ("P", "0"):
-        return ckalg.tensor_zero(factors)
-    if head == "I":
-        return ckalg.tensor_unit(factors)
-    if head == "sum":
-        out = ckalg.tensor_zero(factors)
-        for e in expr[1]:
-            out = out + _expr_quotient(e, factors)
-        return out
-    if head == "prod":
-        out = ckalg.tensor_unit(factors)
-        for e in expr[1]:
-            out = ckalg.ck_multiply(out, _expr_quotient(e, factors))
-        return out
-    if head == "scale":
-        return _expr_quotient(expr[2], factors).scale(expr[1])
-    raise ValueError(f"expression {expr!r} was not built from generators")
+# the quotient map (defined on the images the generators supply)
 
 
 def quotient_image(x: HybridElement) -> TensorElement:
     """Image in O_A (x) O_{A^T} (x) O_A under R_i -> 1 (x) t_i, L_i -> s_i (x) 1,
-    vacuum projection -> 0, with the symbolic factor carried to the third leg.
+    vacuum projection -> 0, with the symbolic factor carried to the third leg:
+    the sum of q (x) ck over ``x.prov``.
 
-    Only defined for elements whose operator factors were assembled through
-    the generator API (raw matrices carry no provenance).
+    Only defined for elements built from the hybrid generators; an element
+    built from raw operators has no image and raises ``ValueError``.
     """
-    a = x.basis.matrix
-    pair_factors = (ckalg.o_a(a), ckalg.o_at(a))
-    triple = ckalg.triple_factors(a)
+    if x.prov is None:
+        raise ValueError("the element was built from raw operators and has no quotient image")
     out = {}
-    for e, ck in x.prov:
-        q = _expr_quotient(e, pair_factors)
+    for q, ck in x.prov:
         for keys, c in q.terms.items():
             for key2, c2 in ck.terms.items():
                 key = keys + key2
                 out[key] = out.get(key, 0) + c * c2
-    return TensorElement(triple, out)
+    return TensorElement(ckalg.triple_factors(x.basis.matrix), out)
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +316,17 @@ def _symbolic_item(item_id: str, lhs: TensorElement, rhs: TensorElement, note: s
     return LemmaItem(item_id, False, (), (note + "; " if note else "") + f"difference: {diff}")
 
 
-def _w_w_expansion(basis: FockBasis) -> HybridElement:
-    """sum_{i,j} A[j][i] R_j R_j* (x) s_i s_i* + P (x) 1."""
+def _w_w_expansion(basis: FockBasis, w: HybridElement, w_star: HybridElement) -> HybridElement:
+    """sum_{i,j} A[j][i] R_j R_j* (x) s_i s_i* + P (x) 1, with R_j and R_j*
+    read off term j of W and of W* (every R_j is nonzero and distinct)."""
     a = basis.matrix
     tag = ckalg.o_a(a)
     pairs = []
-    for j in range(a.n):
-        r = build_creation(basis, "right", j + 1)
+    for j, ((r, _), (r_star, _)) in enumerate(zip(w.terms, w_star.terms)):
         ck = TensorElement(
             (tag,), {(((i,), (i,)),): 1 for i in range(a.n) if a.entry(j, i)}
         )
-        pairs.append((r @ r.adjoint(), ck))
+        pairs.append((r @ r_star, ck))
     pairs.append((vacuum_projection(basis), ck_unit(tag)))
     return hybrid(basis, pairs)
 
@@ -360,7 +351,7 @@ def verify_lemma_W(basis: FockBasis) -> LemmaReport:
     p1 = vacuum_tensor(basis, ck_unit(tag))
     items = [
         _symbolic_item("i", quotient_image(w), ckalg.alpha_z(a)),
-        _hybrid_item("ii", w_star_w, _w_w_expansion(basis)),
+        _hybrid_item("ii", w_star_w, _w_w_expansion(basis, w, w_star)),
         _hybrid_item("iii", w_star_w - hybrid_mul(w, w_star), p1),
         _hybrid_item("iv", hybrid_mul(p1, w), hybrid_zero(basis)),
     ]

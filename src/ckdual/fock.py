@@ -30,7 +30,9 @@ two entries in one column (a sum whose operands send a column to different
 rows, or the adjoint of a map that is not injective) raises ``ValueError``
 naming the column.  Equality and hash compare the two maps.  Operators are
 immutable and ``scale`` shares ``tgt``: no map reached through an operator
-(``tgt``, ``coef``, ``cols`` or ``column``) may be mutated.
+(``tgt``, ``coef``, ``cols`` or ``column``) may be mutated.  An operator
+records nothing of how it was built; the quotient map onto O_A (x) O_{A^T}
+lives on the hybrid elements of ``ckdual.duality``.
 
 Creation operators are indexed arithmetically, with no word built or looked
 up.  L_k maps its sources, the vacuum and the words w of length < m_max with
@@ -86,42 +88,22 @@ class FockBasis:
         return self.sector_bounds[min(m, self.m_max)][1] if m >= 0 else 0
 
 
-def _star_expr(expr):
-    head = expr[0]
-    if head in ("L", "R"):
-        return (head + "*", expr[1])
-    if head in ("L*", "R*"):
-        return (head[0], expr[1])
-    if head in ("P", "I", "0"):
-        return expr
-    if head == "sum":
-        return ("sum", tuple(_star_expr(e) for e in expr[1]))
-    if head == "prod":
-        return ("prod", tuple(_star_expr(e) for e in reversed(expr[1])))
-    if head == "scale":
-        return ("scale", expr[1], _star_expr(expr[2]))
-    raise ValueError(f"unknown operator expression {expr!r}")
-
-
 class FockOperator:
     """Weighted partial map on a FockBasis (module docstring): ``tgt`` and
     ``coef`` over the nonzero columns (the keys of ``tgt`` are the support),
     the length bounds ``raise_len`` and ``lower_len``, and the valid domains
-    derived from them.  ``expr`` records
-    how the operator was assembled from generators (used by the hybrid
-    quotient map).  Equality and hash are by matrix on the same basis,
-    whatever the bounds or ``expr``; the hash is cached on first use.
+    derived from them.  Equality and hash are by matrix on the same basis,
+    whatever the bounds; the hash is cached on first use.
     """
 
-    __slots__ = ("basis", "tgt", "coef", "raise_len", "lower_len", "expr", "_hash")
+    __slots__ = ("basis", "tgt", "coef", "raise_len", "lower_len", "_hash")
 
-    def __init__(self, basis, tgt, coef, raise_len, lower_len, expr):
+    def __init__(self, basis, tgt, coef, raise_len, lower_len):
         self.basis = basis
         self.tgt = tgt
         self.coef = coef
         self.raise_len = raise_len
         self.lower_len = lower_len
-        self.expr = expr
         self._hash = None
 
     @property
@@ -169,7 +151,7 @@ class FockOperator:
                 else:
                     del tgt[j], coef[j]
         return FockOperator(self.basis, tgt, coef, max(self.raise_len, other.raise_len),
-                            max(self.lower_len, other.lower_len), ("sum", (self.expr, other.expr)))
+                            max(self.lower_len, other.lower_len))
 
     def __neg__(self) -> "FockOperator":
         return self.scale(-1)
@@ -183,8 +165,7 @@ class FockOperator:
         if c == 0:
             return zero(self.basis)
         coef = {j: c * v for j, v in self.coef.items()}
-        return FockOperator(self.basis, self.tgt, coef, self.raise_len, self.lower_len,
-                            ("scale", c, self.expr))
+        return FockOperator(self.basis, self.tgt, coef, self.raise_len, self.lower_len)
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         self._same_basis(other)
@@ -196,7 +177,7 @@ class FockOperator:
                 tgt[j] = i
                 coef[j] = acoef[mid] * bcoef[j]
         return FockOperator(self.basis, tgt, coef, self.raise_len + other.raise_len,
-                            self.lower_len + other.lower_len, ("prod", (self.expr, other.expr)))
+                            self.lower_len + other.lower_len)
 
     def adjoint(self) -> "FockOperator":
         """The transpose: the inverse partial map, defined when ``tgt`` is injective."""
@@ -205,8 +186,7 @@ class FockOperator:
         if len(tgt) < len(src):
             raise self._two_entries("the adjoint", next(i for j, i in src.items() if tgt[i] != j))
         coef = {src[j]: v for j, v in self.coef.items()}
-        return FockOperator(self.basis, tgt, coef, self.lower_len, self.raise_len,
-                            _star_expr(self.expr))
+        return FockOperator(self.basis, tgt, coef, self.lower_len, self.raise_len)
 
     def __eq__(self, other):
         return (
@@ -223,16 +203,16 @@ class FockOperator:
 
 
 def zero(basis: FockBasis) -> FockOperator:
-    return FockOperator(basis, {}, {}, 0, 0, ("0",))
+    return FockOperator(basis, {}, {}, 0, 0)
 
 
 def identity(basis: FockBasis) -> FockOperator:
     every = range(basis.size)
-    return FockOperator(basis, dict(zip(every, every)), dict.fromkeys(every, 1), 0, 0, ("I",))
+    return FockOperator(basis, dict(zip(every, every)), dict.fromkeys(every, 1), 0, 0)
 
 
 def vacuum_projection(basis: FockBasis) -> FockOperator:
-    return FockOperator(basis, {0: 0}, {0: 1}, 0, 0, ("P",))
+    return FockOperator(basis, {0: 0}, {0: 1}, 0, 0)
 
 
 def build_creation(basis: FockBasis, side: str, k: int) -> FockOperator:
@@ -260,8 +240,7 @@ def build_creation(basis: FockBasis, side: str, k: int) -> FockOperator:
                                    map(fits.__getitem__, letters)))
     targets = compress(range(1, basis.size), map(is_k.__getitem__, letters))
     tgt = dict(zip(sources, targets))
-    head = "L" if side == "left" else "R"
-    return FockOperator(basis, tgt, dict.fromkeys(tgt, 1), 1, 0, (head, k0))
+    return FockOperator(basis, tgt, dict.fromkeys(tgt, 1), 1, 0)
 
 
 def commutator(x: FockOperator, y: FockOperator) -> FockOperator:

@@ -29,13 +29,6 @@ def one_minus(a: ZeroOneMatrix) -> IntMatrix:
     )
 
 
-def one_minus_transpose(a: ZeroOneMatrix) -> IntMatrix:
-    n = a.n
-    return IntMatrix.from_rows(
-        [[(1 if i == j else 0) - a.entry(j, i) for j in range(n)] for i in range(n)]
-    )
-
-
 @dataclass(frozen=True)
 class AlgebraKTheory:
     k0: FGAbelianGroup
@@ -86,7 +79,7 @@ class DualityReport:
 
 def _algebra_groups(a: ZeroOneMatrix) -> AlgebraKTheory:
     n = a.n
-    pres_t = one_minus_transpose(a)
+    pres_t = one_minus(a.transpose())
     pres = one_minus(a)
     return AlgebraKTheory(
         k0=cokernel(pres_t, n),
@@ -111,18 +104,19 @@ def duality_report(a: ZeroOneMatrix) -> DualityReport:
 
     K_0(O_A) and K^1(O_{A^T}) are both quotients by 1 - A^T; K_1(O_A) and
     K^0(O_{A^T}) are both kernels of it.  The report compares the presenting
-    matrices entrywise, but ``one_minus(a.transpose())`` is
-    ``one_minus_transpose(a)`` by construction, so both presentation flags
-    hold for every valid matrix.  ``abstract_iso_cokernels`` is a theorem as
-    well: a matrix and its transpose have the same invariant factors.  The
+    matrix ``one_minus(a.transpose())`` entrywise with
+    ``one_minus(a).transpose()``; the two routes agree for every valid
+    matrix, so both presentation flags hold by construction.
+    ``abstract_iso_cokernels`` is a theorem as well: a matrix and its
+    transpose have the same invariant factors.  The
     report therefore records derived identities rather than checks that can
     fail, and ``ckdual duality`` cannot exit 1.  The independent checks of
     the Smith form are its transform postconditions and the invariance of
     K-theory under conjugacy (higher-block presentations).
     """
     pres = one_minus(a)
-    pres_t = one_minus_transpose(a)
-    match = one_minus(a.transpose()).entries == pres_t.entries
+    pres_t = one_minus(a.transpose())
+    match = pres_t.entries == pres.transpose().entries
     coker_a = cokernel(pres, a.n)
     coker_at = cokernel(pres_t, a.n)
     return DualityReport(

@@ -71,7 +71,7 @@ FAMILIES = {
 # lemma-verify makes one Fock product per pair of terms in each hybrid
 # product.  On FIB, W and W* have two terms (R_i (x) s_i*), L_k (x) 1 and
 # P (x) 1 one, V_k = W* (L_k (x) 1) two, and W*W two (R_i* R_j = 0 for
-# i != j).  W: 4 adjoints (W*, and R_j* in the W*W expansion) and 28
+# i != j).  W: 2 adjoints (W*, whose R_j* the W*W expansion reuses) and 28
 # products: W*W 4, the expansion's R_j R_j* 2, WW* 4, P W 2, and
 # [W, L_k], [W*, L_k] 4 each per k (16).  V: 6 adjoints (W*, then V_k* for
 # each k) and 56 products: V_k 2 per k (4), the ranges V_k V_k* 4 per k (8),
@@ -82,7 +82,7 @@ FAMILIES = {
 EXACT_COUNTS = {
     "fock-relations": {"fock.adjoint_calls": 6, "fock.matmul_calls": 26,
                        "fock.matmul_nnz": 162},
-    "hybrid-lemmas": {"fock.adjoint_calls": 16, "fock.matmul_calls": 124,
+    "hybrid-lemmas": {"fock.adjoint_calls": 14, "fock.matmul_calls": 124,
                       "fock.matmul_nnz": 506},
 }
 

@@ -236,7 +236,9 @@ def test_hybrid_reads_an_iterator_of_pairs_once():
     tag = ckalg.o_a(a)
     pairs = [(build_creation(b, "right", i), ckalg.ck_generator(tag, i).adjoint())
              for i in range(1, a.n + 1)]
-    w = hybrid(b, iter(pairs))
+    factors = (ckalg.o_a(a), ckalg.o_at(a))
+    images = [ckalg.tensor_elem(factors, (((), ()), ((i,), ()))) for i in range(a.n)]
+    w = hybrid(b, iter(pairs), iter(images))
     assert len(w.terms) == len(w.prov) == 2
     assert ckalg.tensor_equal(quotient_image(w), ckalg.alpha_z(a))
 
@@ -261,6 +263,72 @@ def test_quotient_of_V_is_adjoint_transport():
     q = quotient_image(v1)
     assert ckalg.tensor_equal(q, starred)
     assert not ckalg.tensor_equal(q, unstarred)
+
+
+def _generator_atoms(b):
+    """W, W*, L_k (x) 1, its adjoint, P (x) s_k and the unit on the basis b."""
+    tag = ckalg.o_a(b.matrix)
+    w = build_W(b)
+    atoms = [w, w.adjoint(), hybrid_unit(b)]
+    for k in range(1, b.matrix.n + 1):
+        lk = left_creation_tensor_unit(b, k)
+        atoms += [lk, lk.adjoint(), vacuum_tensor(b, ckalg.ck_generator(tag, k))]
+    return atoms
+
+
+def test_quotient_image_laws_on_random_words():
+    # the quotient map is additive, multiplicative, *-preserving and linear
+    # on seeded random words over the hybrid generators
+    rng = random.Random(4242)
+    nonzero = 0
+    for a in (FIB, CHORD3, MIXED4):
+        triple = ckalg.triple_factors(a)
+        for m in range(3, 6):
+            b = FockBasis(a, m)
+            atoms = _generator_atoms(b)
+            for k in range(1, a.n + 1):
+                gen = ckalg.tensor_elem(triple, ((((k - 1,), ()), ((), ()), ((), ()))))
+                assert ckalg.tensor_equal(quotient_image(atoms[3 * k]), gen)
+
+            def word():
+                x = rng.choice(atoms)
+                for _ in range(rng.randint(0, 2)):
+                    x = hybrid_mul(x, rng.choice(atoms))
+                return x
+
+            for _ in range(10):
+                x, y = word(), word()
+                qx, qy = quotient_image(x), quotient_image(y)
+                c = rng.choice((-3, -1, 2, 5))
+                assert ckalg.tensor_equal(quotient_image(x + y), qx + qy)
+                assert ckalg.tensor_equal(quotient_image(hybrid_mul(x, y)),
+                                          ckalg.ck_multiply(qx, qy))
+                assert ckalg.tensor_equal(quotient_image(x.adjoint()), qx.adjoint())
+                assert ckalg.tensor_equal(quotient_image(x.scale(c)), qx.scale(c))
+                nonzero += not ckalg.ck_is_zero(ckalg.ck_multiply(qx, qy))
+    assert nonzero > 20, nonzero
+
+
+def test_quotient_keeps_the_image_of_an_empty_term():
+    # (L_1 (x) 1)^3 at m_max = 2 has no term left, but its image s_1^3 (x) 1 (x) 1
+    # is not zero
+    b = FockBasis(ones(2), 2)
+    l1 = left_creation_tensor_unit(b, 1)
+    cube = hybrid_mul(hybrid_mul(l1, l1), l1)
+    assert cube.terms == ()
+    s1 = ckalg.tensor_elem(ckalg.triple_factors(b.matrix), ((((0,), ()), ((), ()), ((), ()))))
+    s1_cubed = ckalg.ck_multiply(ckalg.ck_multiply(s1, s1), s1)
+    assert not ckalg.ck_is_zero(s1_cubed)
+    assert ckalg.tensor_equal(quotient_image(cube), s1_cubed)
+
+
+def test_quotient_of_raw_operators_raises():
+    b = FockBasis(FIB, 3)
+    raw = hybrid(b, [(build_creation(b, "left", 1), ckalg.ck_unit(ckalg.o_a(FIB)))])
+    with pytest.raises(ValueError, match="no quotient image"):
+        quotient_image(raw)
+    with pytest.raises(ValueError, match="no quotient image"):
+        quotient_image(hybrid_mul(build_W(b), raw.adjoint()).scale(2) + hybrid_unit(b))
 
 
 def test_lemma_report_json():

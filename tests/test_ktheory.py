@@ -5,7 +5,6 @@ from ckdual.ktheory import (
     duality_report,
     k_groups,
     one_minus,
-    one_minus_transpose,
     report_json,
 )
 from ckdual.zlinalg import FGAbelianGroup, kernel_basis
@@ -48,7 +47,7 @@ def test_rank_nullity_symmetry():
     for a in relation_family():
         rep = k_groups(a)
         n = a.n
-        rank = n - len(kernel_basis(one_minus_transpose(a)))
+        rank = n - len(kernel_basis(one_minus(a.transpose())))
         assert rep.o_a.k1.free_rank == n - rank
         assert rep.o_a.k0.free_rank == n - rank
 
@@ -103,7 +102,7 @@ def test_duality_example_matrices():
 
 
 def test_presenting_matrices():
-    m = one_minus_transpose(FIB)
+    m = one_minus(FIB.transpose())
     assert m.entries == ((0, -1), (-1, 1))
     m = one_minus(FIB)
     assert m.entries == ((0, -1), (-1, 1))

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from ckdual.ktheory import one_minus, one_minus_transpose
+from ckdual.ktheory import one_minus
 from ckdual.zlinalg import IntMatrix, smith_normal_form
 from helpers import FIB, MIXED4, higher_block, random_valid_matrix
 
@@ -43,7 +43,7 @@ def _random_200():
 
 
 def _presentations(a):
-    return [one_minus(a), one_minus_transpose(a)]
+    return [one_minus(a), one_minus(a.transpose())]
 
 
 PINNED = {
