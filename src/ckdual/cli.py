@@ -24,7 +24,9 @@ EXIT_INTERNAL = 3
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    # streamed: json.dumps would hold every chunk of the indented text at once
+    json.dump(obj, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _load(args) -> sft.ZeroOneMatrix:

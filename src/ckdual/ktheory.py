@@ -12,6 +12,11 @@ same matrix 1 - A^T (likewise K_1(O_A) and K^0(O_{A^T}) share the kernel of
 1 - A^T), while coker(1 - A) and coker(1 - A^T) are only abstractly
 isomorphic - equal invariant factors, no preferred map - so the report never
 identifies them entrywise.
+
+A ``ktheory --duality`` report asks for a Smith form ten times (four per
+algebra in ``k_groups``, two in ``duality_report``) but of only two
+matrices, 1 - A and 1 - A^T; the two-entry memo on ``smith_normal_form``
+makes that two eliminations.
 """
 
 from __future__ import annotations

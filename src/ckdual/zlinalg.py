@@ -9,6 +9,7 @@ computed from these presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
 
@@ -235,8 +236,18 @@ def _first_indivisible_row(s, t, rows, cols):
     return None
 
 
+@lru_cache(maxsize=2)
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Diagonalize over Z by elementary (unimodular) row and column operations.
+
+    Memoised on the matrix's value, for the two most recent matrices.  A
+    K-theory report factors only 1 - A and 1 - A^T, but asks for them ten
+    times through ``cokernel`` and ``kernel_basis`` (four per algebra in
+    ``k_groups`` and two in ``duality_report``), so two entries turn ten
+    eliminations into two.  Every caller of the same matrix gets the same
+    ``SmithForm`` object; it and its ``IntMatrix`` fields are frozen and
+    hold only tuples, so sharing it is safe.  ``smith_normal_form.__wrapped__``
+    runs a fresh elimination.
 
     Deterministic: the pivot is always the entry of smallest nonzero absolute
     value in the active submatrix, ties broken in row-major order.  The

@@ -66,6 +66,38 @@ def higher_block(a: ZeroOneMatrix, block: int) -> ZeroOneMatrix:
     return validate_matrix(rows)
 
 
+def out_split(a: ZeroOneMatrix, state: int, first) -> ZeroOneMatrix:
+    """Out-split ``state``, a conjugacy of the shift of A.
+
+    ``state`` keeps the edges to the successors in ``first`` and a new last
+    state n takes its other out-edges; both copies inherit every edge into
+    ``state``.  ``first`` must be a nonempty proper subset of the successors.
+    """
+    n = a.n
+    succ = {j for j in range(n) if a.entry(state, j)}
+    first = set(first)
+    if not first or not first < succ:
+        raise ValueError("first must be a nonempty proper subset of the successors")
+    rows = [[a.entry(i, j) for j in range(n)] + [a.entry(i, state)] for i in range(n)]
+    rows.append(list(rows[state]))
+    for j in succ:
+        drop = n if j in first else state
+        rows[drop][j] = 0
+        if j == state:
+            rows[drop][n] = 0
+    return validate_matrix(rows)
+
+
+def in_split(a: ZeroOneMatrix, state: int, first) -> ZeroOneMatrix:
+    """In-split ``state``: the out-split of A^T at it, transposed back.
+
+    ``state`` keeps the edges from the predecessors in ``first`` and a new
+    last state n takes its other in-edges; both copies inherit every edge out
+    of ``state``.
+    """
+    return out_split(a.transpose(), state, first).transpose()
+
+
 def random_valid_matrix(rng: random.Random, n: int) -> ZeroOneMatrix:
     """A valid n x n 0/1 matrix (zero rows/columns repaired, then revalidated)."""
     rows = [[1 if rng.random() < 0.45 else 0 for _ in range(n)] for _ in range(n)]

@@ -1,5 +1,10 @@
 import json
+import random
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ckdual import zlinalg
 from ckdual.ktheory import (
     bowen_franks,
     duality_report,
@@ -7,15 +12,19 @@ from ckdual.ktheory import (
     one_minus,
     report_json,
 )
-from ckdual.zlinalg import FGAbelianGroup, kernel_basis
+from ckdual.sft import validate_matrix
+from ckdual.zlinalg import FGAbelianGroup, determinant, kernel_basis, smith_normal_form
 
 from helpers import (
     FIB,
     MIXED4,
     SWAP,
     higher_block,
+    in_split,
     ones,
+    out_split,
     random_aperiodic_matrices,
+    random_valid_matrix,
     relation_family,
 )
 
@@ -123,3 +132,72 @@ def test_report_json_schema_roundtrip():
         "invariant_factors_A",
         "invariant_factors_AT",
     }
+
+
+def _memo_work(report, a):
+    smith_normal_form.cache_clear()
+    report(a)
+    info = smith_normal_form.cache_info()
+    return info.misses, info.hits
+
+
+def test_memo_factors_each_presentation_once():
+    # 1 - A and 1 - A^T differ for MIXED4, so each report factors exactly two
+    # matrices however often it asks for them
+    a = higher_block(MIXED4, 2)
+    assert one_minus(a) != one_minus(a.transpose())
+    assert _memo_work(lambda m: report_json(m, True), a) == (2, 8)
+    assert _memo_work(k_groups, a) == (2, 6)
+    assert _memo_work(duality_report, a) == (2, 0)
+
+
+def test_memo_holds_at_most_two_forms():
+    smith_normal_form.cache_clear()
+    for a in (FIB, MIXED4, higher_block(FIB, 3)):
+        report_json(a, True)
+    assert smith_normal_form.cache_info().currsize <= 2
+
+
+def test_memo_alternating_reports_match_fresh_eliminations(monkeypatch):
+    # equal n, so a memo keyed on the shape alone would mix the two up
+    rng = random.Random(808)
+    a, b = random_valid_matrix(rng, 7), random_valid_matrix(rng, 7)
+    order = [a, b, a, b, b, a]
+    smith_normal_form.cache_clear()
+    memoised = [json.dumps(report_json(m, True)) for m in order]
+    monkeypatch.setattr(zlinalg, "smith_normal_form", smith_normal_form.__wrapped__)
+    fresh = [json.dumps(report_json(m, True)) for m in order]
+    assert memoised == fresh
+    assert memoised[0] != memoised[1]
+
+
+@st.composite
+def _split_of_valid_matrix(draw):
+    """A valid 0/1 matrix with n <= 5 and one in- or out-splitting of it."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = [draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in range(n)]
+    for i in range(n):
+        if not any(rows[i]) or not any(r[i] for r in rows):
+            rows[i][i] = 1
+    a = validate_matrix(rows)
+    split, m = draw(st.sampled_from([(out_split, a), (in_split, a.transpose())]))
+    states = [i for i in range(n) if sum(m.entry(i, j) for j in range(n)) >= 2]
+    assume(states)
+    state = draw(st.sampled_from(states))
+    ends = [j for j in range(n) if m.entry(state, j)]
+    first = draw(st.sets(st.sampled_from(ends), min_size=1, max_size=len(ends) - 1))
+    return a, split(a, state, first)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_split_of_valid_matrix())
+def test_state_splitting_preserves_k_theory(pair):
+    # in- and out-splittings are conjugacies: all eight groups and det(1 - A)
+    # are those of the base
+    a, b = pair
+    base, split = k_groups(a), k_groups(b)
+    assert (split.o_a, split.o_at) == (base.o_a, base.o_at)
+    det = determinant(one_minus(b))
+    assert det == determinant(one_minus(a))
+    # |det(1 - A)| is the order of K^1(O_A) = coker(1 - A), or 0 if it is infinite
+    assert abs(det) == (split.o_a.khom1.order() if split.o_a.khom1.is_finite() else 0)

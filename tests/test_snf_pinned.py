@@ -62,3 +62,11 @@ PINNED = {
 def test_snf_transforms_pinned(name):
     build, expected = PINNED[name]
     assert _digest(build()) == expected
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_memoised_form_equals_fresh_elimination(name):
+    for m in PINNED[name][0]():
+        memo = smith_normal_form(m)
+        assert smith_normal_form(m) is memo
+        assert memo == smith_normal_form.__wrapped__(m)
