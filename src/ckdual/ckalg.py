@@ -86,6 +86,18 @@ def _coeff(c):
     return c if isinstance(c, int) else Fraction(c)
 
 
+def _continuations(a: ZeroOneMatrix, *words):
+    """The letters, ascending, that may follow the last letter of every
+    nonempty word given; every letter when all are empty."""
+    ends = [w[-1] for w in words if w]
+    if not ends:
+        return range(a.n)
+    out = a.succ[ends[0]]
+    for e in ends[1:]:
+        out = [k for k in out if a.entry(e, k)]
+    return out
+
+
 def _pair_product(a: ZeroOneMatrix, mu, nu, al, be):
     """Normal-form keys of (s_mu s_nu*)(s_al s_be*); every coefficient is 1.
 
@@ -104,35 +116,13 @@ def _pair_product(a: ZeroOneMatrix, mu, nu, al, be):
             return [(mu + sig, be)]
         if not nu:
             return [(mu, be)]
-        out = []
-        for k in range(a.n):
-            if (
-                a.entry(nu[-1], k)
-                and (not mu or a.entry(mu[-1], k))
-                and (not be or a.entry(be[-1], k))
-            ):
-                out.append((mu + (k,), be + (k,)))
-        return out
+        return [(mu + (k,), be + (k,)) for k in _continuations(a, nu, mu, be)]
     if nu[: len(al)] != al:
         return []
     tau = nu[len(al):]
     if be and not a.entry(be[-1], tau[0]):
         return []
     return [(mu, be + tau)]
-
-
-def _expand_once(a: ZeroOneMatrix, mu, nu):
-    if mu and nu:
-        return [
-            (mu + (k,), nu + (k,))
-            for k in range(a.n)
-            if a.entry(mu[-1], k) and a.entry(nu[-1], k)
-        ]
-    if mu:
-        return [(mu + (k,), (k,)) for k in range(a.n) if a.entry(mu[-1], k)]
-    if nu:
-        return [((k,), nu + (k,)) for k in range(a.n) if a.entry(nu[-1], k)]
-    return [((k,), (k,)) for k in range(a.n)]
 
 
 def _expand_position(a: ZeroOneMatrix, terms, pos: int):
@@ -147,12 +137,11 @@ def _expand_position(a: ZeroOneMatrix, terms, pos: int):
         keys, c = stack.pop()
         mu, nu = keys[pos]
         if min(len(mu), len(nu)) >= level:
-            if not any(a.entry(mu[-1], k) and a.entry(nu[-1], k) for k in range(a.n)):
-                continue
-            out[keys] = out.get(keys, 0) + c
+            if _continuations(a, mu, nu):
+                out[keys] = out.get(keys, 0) + c
         else:
-            for pair in _expand_once(a, mu, nu):
-                stack.append((keys[:pos] + (pair,) + keys[pos + 1:], c))
+            for k in _continuations(a, mu, nu):
+                stack.append((keys[:pos] + ((mu + (k,), nu + (k,)),) + keys[pos + 1:], c))
     return {k: v for k, v in out.items() if v}
 
 
@@ -346,11 +335,7 @@ def w_element(a: ZeroOneMatrix) -> TensorElement:
 def w_range_projection(a: ZeroOneMatrix) -> TensorElement:
     """sum_{i,j} A[i][j] s_j s_j* (x) t_i t_i*, the common value of w*w and ww*."""
     factors = (o_a(a), o_at(a))
-    terms = {}
-    for i in range(a.n):
-        for j in range(a.n):
-            if a.entry(i, j):
-                terms[(((j,), (j,)), ((i,), (i,)))] = 1
+    terms = {(((j,), (j,)), ((i,), (i,))): 1 for i, succ in enumerate(a.succ) for j in succ}
     return TensorElement(factors, terms)
 
 

@@ -323,9 +323,7 @@ def _w_w_expansion(basis: FockBasis, w: HybridElement, w_star: HybridElement) ->
     tag = ckalg.o_a(a)
     pairs = []
     for j, ((r, _), (r_star, _)) in enumerate(zip(w.terms, w_star.terms)):
-        ck = TensorElement(
-            (tag,), {(((i,), (i,)),): 1 for i in range(a.n) if a.entry(j, i)}
-        )
+        ck = TensorElement((tag,), {(((i,), (i,)),): 1 for i in a.succ[j]})
         pairs.append((r @ r_star, ck))
     pairs.append((vacuum_projection(basis), ck_unit(tag)))
     return hybrid(basis, pairs)
@@ -384,11 +382,10 @@ def _w_and_v(basis: FockBasis):
 
 def _range_items(basis: FockBasis, label: str, vs, vs_star, ranges) -> list:
     """V_k* V_k = sum_j A[k][j] V_j V_j*, one item per k."""
-    a = basis.matrix
     return [
         _hybrid_item(f"{label}(k={k + 1})", hybrid_mul(vs_star[k], vs[k]),
-                     sum((r for j, r in enumerate(ranges) if a.entry(k, j)), hybrid_zero(basis)))
-        for k in range(a.n)
+                     sum((ranges[j] for j in succ), hybrid_zero(basis)))
+        for k, succ in enumerate(basis.matrix.succ)
     ]
 
 

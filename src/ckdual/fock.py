@@ -231,13 +231,13 @@ def build_creation(basis: FockBasis, side: str, k: int) -> FockOperator:
         raise ValueError(f"letter {k} out of range 1..{a.n}")
     k0 = k - 1
     if side == "left":
-        end, fits = itemgetter(0), [a.entry(k0, c) for c in range(a.n)]
+        end, fits = itemgetter(0), frozenset(a.succ[k0])
     else:
-        end, fits = itemgetter(-1), [a.entry(c, k0) for c in range(a.n)]
+        end, fits = itemgetter(-1), frozenset(a.pred[k0])
     is_k = [c == k0 for c in range(a.n)]
     letters = list(map(end, basis.words[1:]))  # of the words 1, 2, ...
     sources = chain((0,), compress(range(1, basis.end_of_length(basis.m_max - 1)),
-                                   map(fits.__getitem__, letters)))
+                                   map(fits.__contains__, letters)))
     targets = compress(range(1, basis.size), map(is_k.__getitem__, letters))
     tgt = dict(zip(sources, targets))
     return FockOperator(basis, tgt, dict.fromkeys(tgt, 1), 1, 0)
@@ -322,22 +322,16 @@ def creation_relations(basis: FockBasis, which: str = "all"):
     ls_star = [x.adjoint() for x in ls] if which in ("all", "i", "iv") else []
     rs_star = [x.adjoint() for x in rs] if which in ("all", "ii") else []
     p = vacuum_projection(basis)
-    if which in ("all", "i"):
-        ranges = [x @ x_star for x, x_star in zip(ls, ls_star)]
+    # i) sums over the successors i of k, ii) over its predecessors
+    for label, xs, xs_star, adjacent in (("i", ls, ls_star, a.succ), ("ii", rs, rs_star, a.pred)):
+        if which not in ("all", label):
+            continue
+        ranges = [x @ x_star for x, x_star in zip(xs, xs_star)]
         for k in range(n):
             rhs = p
-            for i in range(n):
-                if a.entry(k, i):
-                    rhs = rhs + ranges[i]
-            yield f"i(k={k + 1})", ls_star[k] @ ls[k], rhs
-    if which in ("all", "ii"):
-        ranges = [x @ x_star for x, x_star in zip(rs, rs_star)]
-        for k in range(n):
-            rhs = p
-            for i in range(n):
-                if a.entry(i, k):
-                    rhs = rhs + ranges[i]
-            yield f"ii(k={k + 1})", rs_star[k] @ rs[k], rhs
+            for i in adjacent[k]:
+                rhs = rhs + ranges[i]
+            yield f"{label}(k={k + 1})", xs_star[k] @ xs[k], rhs
     if which in ("all", "iii"):
         for k in range(n):
             for l in range(n):
@@ -458,7 +452,9 @@ def rotation_operator(basis: FockBasis):
 # These act on plain words with no truncation: each normal-form pair is
 # applied one generator at a time via the displayed creation/annihilation
 # rules, so the evaluation is independent of the symbolic reduction rules it
-# is used to check.
+# is used to check.  ``_create`` and ``pair_action_on_word`` read ``entry``
+# on purpose and must never use ``ZeroOneMatrix.succ`` or
+# ``ckalg._continuations``: they are the check on those two.
 
 
 def _annihilate(k0: int, w):

@@ -6,6 +6,12 @@ A[i][j] = 1.  Everything downstream (Cuntz-Krieger algebra relations, Fock
 space bases, K-theory presentations) is driven by this matrix, so validation
 lives here.
 
+Every layer reads adjacency through the two cached views of
+``ZeroOneMatrix``: ``succ[i]``, the letters that may follow i, and
+``pred[j]``, the letters that j may follow, both ascending.  ``rows`` and
+``entry`` serve single-edge tests and the dense presentation (the matrix
+echo and 1 - A); only this module knows how the rows are stored.
+
 Letters are 0-based in all in-memory words and 1-based in every rendered
 report, matching the usual generator labels s_1, ..., s_n.
 """
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 
@@ -50,10 +57,25 @@ Word = tuple  # tuple of 0-based letters
 
 @dataclass(frozen=True)
 class ZeroOneMatrix:
-    """A validated n x n 0/1 matrix with no zero row and no zero column."""
+    """A validated n x n 0/1 matrix with no zero row and no zero column.
+
+    ``succ`` and ``pred``, cached on first use, are how every layer reads
+    the transition graph; ``rows`` and ``entry`` serve single-edge tests and
+    the dense presentation.  Equality and hash stay on ``(n, rows)``.
+    """
 
     n: int
     rows: tuple
+
+    @cached_property
+    def succ(self) -> tuple:
+        """succ[i]: the letters that may follow i, in ascending order."""
+        return tuple(tuple(j for j, e in enumerate(r) if e) for r in self.rows)
+
+    @cached_property
+    def pred(self) -> tuple:
+        """pred[j]: the letters that j may follow, in ascending order."""
+        return self.transpose().succ
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
@@ -96,10 +118,6 @@ def validate_matrix(raw) -> ZeroOneMatrix:
     return ZeroOneMatrix(n, tuple(tuple(r) for r in rows))
 
 
-def _successors(a: ZeroOneMatrix):
-    return [tuple(j for j in range(a.n) if a.entry(i, j)) for i in range(a.n)]
-
-
 def _reachable(succ, start: int) -> set:
     seen = {start}
     stack = [start]
@@ -114,11 +132,7 @@ def _reachable(succ, start: int) -> set:
 
 def is_irreducible(a: ZeroOneMatrix) -> bool:
     """True iff the transition graph is strongly connected."""
-    succ = _successors(a)
-    if len(_reachable(succ, 0)) != a.n:
-        return False
-    pred = [tuple(i for i in range(a.n) if a.entry(i, j)) for j in range(a.n)]
-    return len(_reachable(pred, 0)) == a.n
+    return len(_reachable(a.succ, 0)) == a.n and len(_reachable(a.pred, 0)) == a.n
 
 
 def is_aperiodic(a: ZeroOneMatrix) -> bool:
@@ -130,7 +144,7 @@ def is_aperiodic(a: ZeroOneMatrix) -> bool:
     """
     if not is_irreducible(a):
         return False
-    succ = _successors(a)
+    succ = a.succ
     level = {0: 0}
     frontier = [0]
     while frontier:
@@ -142,16 +156,14 @@ def is_aperiodic(a: ZeroOneMatrix) -> bool:
                     nxt.append(v)
         frontier = nxt
     g = 0
-    for u in range(a.n):
-        for v in succ[u]:
+    for u, vs in enumerate(succ):
+        for v in vs:
             g = gcd(g, level[u] + 1 - level[v])
     return abs(g) == 1
 
 
 def _is_permutation(a: ZeroOneMatrix) -> bool:
-    return all(sum(r) == 1 for r in a.rows) and all(
-        sum(r[j] for r in a.rows) == 1 for j in range(a.n)
-    )
+    return all(len(s) == 1 for s in a.succ) and all(len(p) == 1 for p in a.pred)
 
 
 def satisfies_cantor_condition(a: ZeroOneMatrix) -> bool:
@@ -177,7 +189,7 @@ def enumerate_words(a: ZeroOneMatrix, m: int) -> list:
         raise ValueError("word length must be >= 0")
     if m == 0:
         return [()]
-    succ = _successors(a)
+    succ = a.succ
     words = [(i,) for i in range(a.n)]
     for _ in range(m - 1):
         words = [w + (j,) for w in words for j in succ[w[-1]]]
@@ -193,7 +205,7 @@ def count_words(a: ZeroOneMatrix, m: int) -> int:
         return 1
     row_sums = [1] * a.n
     for _ in range(m - 1):
-        row_sums = [sum(a.entry(i, j) * row_sums[j] for j in range(a.n)) for i in range(a.n)]
+        row_sums = [sum(row_sums[j] for j in succ) for succ in a.succ]
     return sum(row_sums)
 
 

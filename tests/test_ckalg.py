@@ -28,10 +28,14 @@ from ckdual.ckalg import (
     w_range_projection,
     z_power,
 )
+from ckdual.fock import ck_action_on_word
+from ckdual.sft import enumerate_words
 
 from helpers import (
     CHORD3,
     FIB,
+    all_valid_matrices,
+    max_nu_len,
     ones,
     oracle_confirms_equality_verdict,
     product_matches_composition,
@@ -160,6 +164,36 @@ def test_products_match_word_model_composition():
             x = random_ck(rng, tag, max_terms=2, max_len=2)
             y = random_ck(rng, tag, max_terms=2, max_len=2)
             assert product_matches_composition(x, y)
+
+
+def _zero_past_vacuum(x) -> bool:
+    """Word model: x kills every column one letter longer than its longest nu.
+
+    Beyond that length each column is nu w' with w' nonempty, and appending a
+    letter to the column appends it to every image, so this one length
+    decides every longer one."""
+    a = x.factors[0].matrix
+    return all(not ck_action_on_word(x, w) for w in enumerate_words(a, max_nu_len(x) + 1))
+
+
+def test_continuations_match_word_model_on_all_2x2_and_3x3():
+    # Every s_mu s_nu* with |mu|, |nu| <= 2.  The zero test prunes pairs
+    # whose ends have no common continuation.  x x* expands the middle
+    # projection s_nu* s_nu against both outer words (x* x is x x* of the
+    # swapped pair); it is compared one letter past mu, where the
+    # intermediate column keeps a nonempty tail and so meets no vacuum
+    # correction.  x - sum_i x s_i s_i* expands x one level and must cancel.
+    for a in all_valid_matrices(2) + all_valid_matrices(3):
+        tag = o_a(a)
+        words = [w for m in range(3) for w in enumerate_words(a, m)]
+        ranges = [ck_monomial(tag, (i,), (i,)) for i in range(a.n)]
+        for mu in words:
+            for nu in words:
+                x = ck_monomial(tag, mu, nu)
+                assert ck_is_zero(x) == _zero_past_vacuum(x), (a.rows, mu, nu)
+                assert product_matches_composition(x, x.adjoint(), (len(mu) + 1,)), (a.rows, mu, nu)
+                split = x - sum((ck_multiply(x, r) for r in ranges), ckalg.ck_zero(tag))
+                assert ck_is_zero(split), (a.rows, mu, nu)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from ckdual.sft import (
     enumerate_words,
     is_admissible,
     is_aperiodic,
+    is_irreducible,
     parse_matrix_json,
     parse_matrix_text,
     satisfies_cantor_condition,
@@ -17,7 +18,7 @@ from ckdual.sft import (
     word_str,
 )
 
-from helpers import FIB, IDENT2, SWAP, ones, relation_family
+from helpers import FIB, IDENT2, SWAP, all_valid_matrices, ones, relation_family
 
 
 def test_validate_accepts_fibonacci_and_identity():
@@ -66,8 +67,33 @@ def test_aperiodicity_examples():
 
 
 def test_aperiodicity_matches_power_oracle():
-    for a in relation_family() + [SWAP, IDENT2]:
+    for a in relation_family() + [SWAP, IDENT2] + all_valid_matrices(3):
         assert is_aperiodic(a) == _aperiodic_by_powers(a)
+
+
+def _irreducible_by_powers(a):
+    # independent oracle: (I + A)^(n-1) is entrywise positive
+    step = [[int(i == j or a.entry(i, j)) for j in range(a.n)] for i in range(a.n)]
+    cur = [[int(i == j) for j in range(a.n)] for i in range(a.n)]
+    for _ in range(a.n - 1):
+        cur = [
+            [min(1, sum(cur[i][k] * step[k][j] for k in range(a.n))) for j in range(a.n)]
+            for i in range(a.n)
+        ]
+    return all(all(r) for r in cur)
+
+
+def test_adjacency_views_and_graph_predicates_match_dense_oracles():
+    for a in relation_family() + all_valid_matrices(3):
+        n = a.n
+        assert a.succ == tuple(tuple(j for j in range(n) if a.entry(i, j)) for i in range(n))
+        assert a.pred == tuple(tuple(i for i in range(n) if a.entry(i, j)) for j in range(n))
+        assert a.pred == a.transpose().succ
+        assert is_irreducible(a) == _irreducible_by_powers(a)
+        permutation = all(sum(r) == 1 for r in a.rows) and all(
+            sum(r[j] for r in a.rows) == 1 for j in range(n)
+        )
+        assert satisfies_cantor_condition(a) == (is_irreducible(a) and not permutation)
 
 
 def test_cantor_condition():
@@ -98,7 +124,7 @@ def test_word_counts_fibonacci():
 
 
 def test_count_matches_enumeration_up_to_8():
-    for a in relation_family():
+    for a in relation_family() + all_valid_matrices(3):
         for m in range(0, 9):
             words = enumerate_words(a, m)
             assert count_words(a, m) == len(words)
