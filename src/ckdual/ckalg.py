@@ -198,9 +198,6 @@ class TensorElement:
             for keys, c in self.terms.items()
         })
 
-    def is_structurally_zero(self) -> bool:
-        return not self.terms
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -233,10 +230,6 @@ def tensor_zero(factors) -> TensorElement:
 
 def tensor_elem(factors, keys, coeff=1) -> TensorElement:
     return TensorElement(factors, {tuple(keys): _coeff(coeff)})
-
-
-def ck_zero(tag: AlgebraTag) -> TensorElement:
-    return tensor_zero((tag,))
 
 
 def ck_unit(tag: AlgebraTag) -> TensorElement:

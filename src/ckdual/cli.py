@@ -29,10 +29,6 @@ def _emit_json(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _load(args) -> sft.ZeroOneMatrix:
-    return sft.load_matrix(args.matrix)
-
-
 def _warn_unless_cantor(a: sft.ZeroOneMatrix) -> None:
     """Say on stderr when the operator constructions' assumption fails."""
     if not sft.satisfies_cantor_condition(a):
@@ -45,7 +41,7 @@ def _warn_unless_cantor(a: sft.ZeroOneMatrix) -> None:
 
 
 def cmd_validate(args) -> int:
-    a = _load(args)
+    a = sft.load_matrix(args.matrix)
     aperiodic = sft.is_aperiodic(a)
     irreducible = sft.is_irreducible(a)
     cantor = sft.satisfies_cantor_condition(a)
@@ -69,7 +65,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_words(args) -> int:
-    a = _load(args)
+    a = sft.load_matrix(args.matrix)
     words = sft.enumerate_words(a, args.length)
     if args.json:
         _emit_json(
@@ -87,7 +83,7 @@ def cmd_words(args) -> int:
 
 
 def cmd_ktheory(args) -> int:
-    a = _load(args)
+    a = sft.load_matrix(args.matrix)
     if args.json:
         _emit_json(ktheory.report_json(a, include_duality=args.duality))
         return EXIT_OK
@@ -111,7 +107,7 @@ def _print_duality(d) -> None:
 
 
 def cmd_duality(args) -> int:
-    a = _load(args)
+    a = sft.load_matrix(args.matrix)
     d = ktheory.duality_report(a)
     ok = (
         d.presentation_match_K0_Khom1
@@ -128,7 +124,7 @@ def cmd_duality(args) -> int:
 
 
 def cmd_fock_verify(args) -> int:
-    a = _load(args)
+    a = sft.load_matrix(args.matrix)
     _warn_unless_cantor(a)
     basis = fock.FockBasis(a, args.max_length)
     reports = fock.verify_creation_relations(basis, args.relation)
@@ -153,7 +149,7 @@ def cmd_fock_verify(args) -> int:
 
 
 def cmd_lemma_verify(args) -> int:
-    a = _load(args)
+    a = sft.load_matrix(args.matrix)
     _warn_unless_cantor(a)
     basis = fock.FockBasis(a, args.max_length)
     report = dualitymod.verify_lemmas(basis, args.which)
@@ -176,7 +172,7 @@ def cmd_lemma_verify(args) -> int:
 
 
 def cmd_pairing(args) -> int:
-    a = _load(args)
+    a = sft.load_matrix(args.matrix)
     _warn_unless_cantor(a)
     basis = fock.FockBasis(a, args.max_length)
     _x, report = fock.rotation_operator(basis)

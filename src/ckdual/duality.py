@@ -112,11 +112,11 @@ class HybridElement:
 def _merge_terms(terms):
     merged = {}
     for op, ck in terms:
-        if not op.tgt or ck.is_structurally_zero():
+        if not op.tgt or not ck.terms:
             continue
         prev = merged.get(op)
         merged[op] = ck if prev is None else prev + ck
-    return tuple((op, ck) for op, ck in merged.items() if not ck.is_structurally_zero())
+    return tuple((op, ck) for op, ck in merged.items() if ck.terms)
 
 
 def hybrid(basis: FockBasis, pairs, images=None) -> HybridElement:
@@ -149,7 +149,7 @@ def hybrid_mul(x: HybridElement, y: HybridElement) -> HybridElement:
     if x.prov is not None and y.prov is not None:
         products = ((ckalg.ck_multiply(q1, q2), ck1, ck2)
                     for q1, ck1 in x.prov for q2, ck2 in y.prov)
-        prov = [(q, ck1 * ck2) for q, ck1, ck2 in products if not q.is_structurally_zero()]
+        prov = [(q, ck1 * ck2) for q, ck1, ck2 in products if q.terms]
     return HybridElement(x.basis, terms, prov, x.raise_len + y.raise_len,
                          x.lower_len + y.lower_len)
 
@@ -201,32 +201,39 @@ class DefectColumn:
 def hybrid_defects(x: HybridElement, y: HybridElement):
     """Columns of the shared valid domain where x and y differ; exact entries.
 
-    One pass over the ``tgt``/``coef`` maps of the terms of both sides adds
-    each entry of x - y inside the domain, with sign +1 for x and -1 for y,
-    so no difference element is built.  The touched entries are then
-    zero-tested and rendered in basis order, columns first, then rows.
+    Both sides are summed by operator, x with sign +1 and y with -1, so no
+    difference element is built and a term that cancels between them is
+    never scanned.  One pass over the ``tgt``/``coef`` maps of the rest adds
+    each entry inside the domain; the touched entries are zero-tested and
+    rendered in basis order, columns first, then rows.
     """
     x._compatible(y)
     basis = x.basis
     valid = min(x.valid_up_to, y.valid_up_to)
     end = basis.end_of_length(valid)
-    # column -> [row, signed coefficient, symbolic factor, row, ...]: one flat
-    # list per column, since every column of the domain is held at once
-    diff = {}
+    by_op = {}  # operator -> {key: coefficient} of x - y
     for sign, side in ((1, x), (-1, y)):
         for op, ck in side.terms:
+            acc = by_op.setdefault(op, {})
+            for key, c in ck.terms.items():
+                acc[key] = acc.get(key, 0) + sign * c
+    # column -> [row, coefficient, symbolic coefficients, row, ...]: one flat
+    # list per column, since every column of the domain is held at once
+    diff = {}
+    for op, acc in by_op.items():
+        if any(acc.values()):
             coef = op.coef
             for j, i in op.tgt.items():
                 if j < end:
-                    diff.setdefault(j, []).extend((i, sign * coef[j], ck))
+                    diff.setdefault(j, []).extend((i, coef[j], acc))
     factors = (ckalg.o_a(basis.matrix),)
     defects = []
     for j in sorted(diff):
         rows = {}  # row -> coefficients of the symbolic entry
         flat = diff[j]
-        for i, v, ck in zip(flat[::3], flat[1::3], flat[2::3]):
+        for i, v, acc in zip(flat[::3], flat[1::3], flat[2::3]):
             entry = rows.setdefault(i, {})
-            for key, c in ck.terms.items():
+            for key, c in acc.items():
                 entry[key] = entry.get(key, 0) + c * v
         entries = []
         for i in sorted(rows):
@@ -329,11 +336,6 @@ def _w_w_expansion(basis: FockBasis, w: HybridElement, w_star: HybridElement) ->
     return hybrid(basis, pairs)
 
 
-def _commutator(x: HybridElement, y: HybridElement) -> HybridElement:
-    """xy - yx."""
-    return hybrid_mul(x, y) - hybrid_mul(y, x)
-
-
 def verify_lemma_W(basis: FockBasis) -> LemmaReport:
     """The six identities for W = sum_i R_i (x) s_i*.
 
@@ -350,16 +352,17 @@ def verify_lemma_W(basis: FockBasis) -> LemmaReport:
     items = [
         _symbolic_item("i", quotient_image(w), ckalg.alpha_z(a)),
         _hybrid_item("ii", w_star_w, _w_w_expansion(basis, w, w_star)),
-        _hybrid_item("iii", w_star_w - hybrid_mul(w, w_star), p1),
+        _hybrid_item("iii", w_star_w, hybrid_mul(w, w_star) + p1),
         _hybrid_item("iv", hybrid_mul(p1, w), hybrid_zero(basis)),
     ]
     del w_star_w  # large; no later item needs it
     v_items, vi_items = [], []
     for k in range(1, a.n + 1):
         lk = left_creation_tensor_unit(basis, k)
-        v_items.append(_hybrid_item(f"v(k={k})", _commutator(w, lk), hybrid_zero(basis)))
-        vi_items.append(_hybrid_item(f"vi(k={k})", _commutator(w_star, lk),
-                                     vacuum_tensor(basis, ckalg.ck_generator(tag, k))))
+        v_items.append(_hybrid_item(f"v(k={k})", hybrid_mul(w, lk), hybrid_mul(lk, w)))
+        vi_items.append(_hybrid_item(f"vi(k={k})", hybrid_mul(w_star, lk),
+                                     hybrid_mul(lk, w_star)
+                                     + vacuum_tensor(basis, ckalg.ck_generator(tag, k))))
     return LemmaReport("W", basis.m_max, a.to_json(), tuple(items + v_items + vi_items))
 
 
@@ -406,9 +409,9 @@ def verify_lemma_V(basis: FockBasis) -> LemmaReport:
     items.append(_hybrid_item("ii", sum(ranges, hybrid_zero(basis)), hybrid_mul(w_star, w)))
     items += _range_items(basis, "iii", vs, vs_star, ranges)
     del vs_star, ranges  # large; no later item needs them
-    items += [_hybrid_item(f"iv(k={k})", _commutator(w, v_k), hybrid_zero(basis))
+    items += [_hybrid_item(f"iv(k={k})", hybrid_mul(w, v_k), hybrid_mul(v_k, w))
               for k, v_k in enumerate(vs, 1)]
-    items += [_hybrid_item(f"v(k={k})", _commutator(w_star, v_k), hybrid_zero(basis))
+    items += [_hybrid_item(f"v(k={k})", hybrid_mul(w_star, v_k), hybrid_mul(v_k, w_star))
               for k, v_k in enumerate(vs, 1)]
     return LemmaReport("V", basis.m_max, a.to_json(), tuple(items))
 
@@ -428,6 +431,7 @@ def verify_toeplitz_untwist(basis: FockBasis) -> LemmaReport:
     items += _range_items(basis, "range", vs, vs_star, ranges)
     del vs_star, ranges  # large; no later item needs them
     p1 = vacuum_tensor(basis, ck_unit(ckalg.o_a(a)))
+    # the difference cancels nearly every term, so WW* is freed before the scan
     items.append(_hybrid_item("shift", unit - hybrid_mul(w, w_star), p1))
     items.append(_hybrid_item("idempotent", hybrid_mul(unit, unit), unit))
     return LemmaReport("toeplitz", basis.m_max, a.to_json(), tuple(items))

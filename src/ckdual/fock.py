@@ -153,11 +153,8 @@ class FockOperator:
         return FockOperator(self.basis, tgt, coef, max(self.raise_len, other.raise_len),
                             max(self.lower_len, other.lower_len))
 
-    def __neg__(self) -> "FockOperator":
-        return self.scale(-1)
-
     def __sub__(self, other: "FockOperator") -> "FockOperator":
-        return self + (-other)
+        return self + other.scale(-1)
 
     def scale(self, c: int) -> "FockOperator":
         if not isinstance(c, int):

@@ -6,7 +6,8 @@ integer matrices 1 - A^T and 1 - A:
     K_0(O_A)  = Z^n / (1 - A^T) Z^n      K_1(O_A)  = ker(1 - A^T)
     K^0(O_A)  = ker(1 - A)               K^1(O_A)  = Z^n / (1 - A) Z^n
 
-and the groups of O_{A^T} are obtained by swapping A and A^T.  The duality
+and the groups of O_{A^T} are these four with 1 - A and 1 - A^T swapped, so
+``k_groups`` reads both algebras off one pair built once from ``succ``.  The duality
 report compares presentations: K_0(O_A) and K^1(O_{A^T}) are presented by the
 same matrix 1 - A^T (likewise K_1(O_A) and K^0(O_{A^T}) share the kernel of
 1 - A^T), while coker(1 - A) and coker(1 - A^T) are only abstractly
@@ -28,10 +29,16 @@ from .zlinalg import FGAbelianGroup, IntMatrix, cokernel, kernel_basis
 
 
 def one_minus(a: ZeroOneMatrix) -> IntMatrix:
+    """1 - A: row i is e_i minus the e_j for the letters j in ``succ[i]``."""
     n = a.n
-    return IntMatrix.from_rows(
-        [[(1 if i == j else 0) - a.entry(i, j) for j in range(n)] for i in range(n)]
-    )
+    rows = []
+    for i, succ in enumerate(a.succ):
+        row = [0] * n
+        row[i] = 1
+        for j in succ:
+            row[j] -= 1
+        rows.append(tuple(row))
+    return IntMatrix(n, n, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -82,10 +89,9 @@ class DualityReport:
         }
 
 
-def _algebra_groups(a: ZeroOneMatrix) -> AlgebraKTheory:
-    n = a.n
-    pres_t = one_minus(a.transpose())
-    pres = one_minus(a)
+def _algebra_groups(pres_t: IntMatrix, pres: IntMatrix) -> AlgebraKTheory:
+    """The four groups of O_B, given pres_t = 1 - B^T and pres = 1 - B."""
+    n = pres.rows
     return AlgebraKTheory(
         k0=cokernel(pres_t, n),
         k1=FGAbelianGroup(len(kernel_basis(pres_t)), ()),
@@ -95,8 +101,11 @@ def _algebra_groups(a: ZeroOneMatrix) -> AlgebraKTheory:
 
 
 def k_groups(a: ZeroOneMatrix) -> KTheoryReport:
-    """All eight K/K-homology groups of O_A and O_{A^T}."""
-    return KTheoryReport(matrix=a, o_a=_algebra_groups(a), o_at=_algebra_groups(a.transpose()))
+    """All eight K/K-homology groups of O_A and O_{A^T}, from one pair."""
+    pres = one_minus(a)
+    pres_t = pres.transpose()
+    return KTheoryReport(matrix=a, o_a=_algebra_groups(pres_t, pres),
+                         o_at=_algebra_groups(pres, pres_t))
 
 
 def bowen_franks(a: ZeroOneMatrix) -> FGAbelianGroup:

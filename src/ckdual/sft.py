@@ -8,9 +8,9 @@ lives here.
 
 Every layer reads adjacency through the two cached views of
 ``ZeroOneMatrix``: ``succ[i]``, the letters that may follow i, and
-``pred[j]``, the letters that j may follow, both ascending.  ``rows`` and
-``entry`` serve single-edge tests and the dense presentation (the matrix
-echo and 1 - A); only this module knows how the rows are stored.
+``pred[j]``, the letters that j may follow, both ascending; 1 - A reads
+``succ`` too.  ``rows`` and ``entry`` serve only single-edge tests and the
+matrix echo; only this module knows how the rows are stored.
 
 Letters are 0-based in all in-memory words and 1-based in every rendered
 report, matching the usual generator labels s_1, ..., s_n.
@@ -59,9 +59,9 @@ Word = tuple  # tuple of 0-based letters
 class ZeroOneMatrix:
     """A validated n x n 0/1 matrix with no zero row and no zero column.
 
-    ``succ`` and ``pred``, cached on first use, are how every layer reads
-    the transition graph; ``rows`` and ``entry`` serve single-edge tests and
-    the dense presentation.  Equality and hash stay on ``(n, rows)``.
+    Every layer reads the transition graph through ``succ`` and ``pred``,
+    cached on first use, 1 - A included; ``rows`` and ``entry`` serve only
+    single-edge tests and the matrix echo.  Equality and hash use (n, rows).
     """
 
     n: int

@@ -42,9 +42,9 @@ class IntMatrix:
         return self.entries[i][j]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
+        # zip of no rows yields no columns, so a 0 x c matrix needs its c empty rows
+        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return IntMatrix(self.cols, self.rows, entries)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

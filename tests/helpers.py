@@ -137,7 +137,7 @@ def random_word(rng: random.Random, a: ZeroOneMatrix, max_len: int):
 
 def random_ck(rng: random.Random, tag: ckalg.AlgebraTag, max_terms: int = 3, max_len: int = 3):
     coeffs = [Fraction(c) for c in (-2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-3, 2)]
-    x = ckalg.ck_zero(tag)
+    x = ckalg.tensor_zero((tag,))
     for _ in range(rng.randint(1, max_terms)):
         mu = random_word(rng, tag.matrix, max_len)
         nu = random_word(rng, tag.matrix, max_len)
@@ -165,12 +165,16 @@ def word_model_images_agree(x, y, length: int) -> bool:
 def oracle_confirms_equality_verdict(x, y, verdict: bool) -> bool:
     """Double-entry check of a symbolic equality verdict against the word model.
 
-    Elements equal in the algebra have identical word-model images on every
-    column at least as long as their words; unequal elements must differ on
-    some column of length in [D, 2D+1] where D bounds the word lengths.
+    A column no longer than the longest nu can still carry a vacuum
+    correction: s_2 s_3* is 0 in O_A for SPARSE3, yet maps xi_3 to xi_2.  So
+    the window starts one letter past the longest nu of either side.  There
+    elements equal in the algebra have identical word-model images, and
+    unequal elements must differ on some column of length at most 2D+1,
+    where D bounds the word lengths.
     """
+    lo = max(max_nu_len(x), max_nu_len(y)) + 1
     d = max(max_word_len(x), max_word_len(y), 1)
-    agree = all(word_model_images_agree(x, y, length) for length in range(d, 2 * d + 2))
+    agree = all(word_model_images_agree(x, y, length) for length in range(lo, 2 * d + 2))
     return agree == verdict
 
 

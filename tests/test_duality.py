@@ -387,7 +387,7 @@ def _dense_defects(x, y):
     """Reference scan: x - y built densely from ``op.cols``, one column of
     the shared valid domain at a time, with ``ck_is_zero`` on each entry."""
     basis = x.basis
-    zero = ckalg.ck_zero(ckalg.o_a(basis.matrix))
+    zero = ckalg.tensor_zero((ckalg.o_a(basis.matrix),))
     valid = min(x.valid_up_to, y.valid_up_to)
     terms = [(op.cols, ck.scale(sign)) for sign, side in ((1, x), (-1, y)) for op, ck in side.terms]
     defects = []

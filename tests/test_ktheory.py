@@ -13,12 +13,13 @@ from ckdual.ktheory import (
     report_json,
 )
 from ckdual.sft import validate_matrix
-from ckdual.zlinalg import FGAbelianGroup, determinant, kernel_basis, smith_normal_form
+from ckdual.zlinalg import FGAbelianGroup, IntMatrix, determinant, kernel_basis, smith_normal_form
 
 from helpers import (
     FIB,
     MIXED4,
     SWAP,
+    all_valid_matrices,
     higher_block,
     in_split,
     ones,
@@ -110,11 +111,28 @@ def test_duality_example_matrices():
     assert d.invariant_factors_A == d.invariant_factors_AT
 
 
+def _presentation_family() -> list:
+    rng = random.Random(2464)
+    return (all_valid_matrices(3) + [random_valid_matrix(rng, n) for n in range(24, 65, 8)]
+            + [higher_block(MIXED4, 4)])
+
+
 def test_presenting_matrices():
     m = one_minus(FIB.transpose())
     assert m.entries == ((0, -1), (-1, 1))
     m = one_minus(FIB)
     assert m.entries == ((0, -1), (-1, 1))
+    # one_minus reads the successor lists; the dense formula is the reference
+    for a in _presentation_family():
+        dense = [[int(i == j) - a.entry(i, j) for j in range(a.n)] for i in range(a.n)]
+        assert one_minus(a) == IntMatrix.from_rows(dense)
+
+
+def test_o_at_is_o_a_of_the_transpose():
+    # k_groups reads O_{A^T} off the pair of O_A with the roles swapped
+    for a in _presentation_family():
+        rep, rep_t = k_groups(a), k_groups(a.transpose())
+        assert (rep.o_at, rep.o_a) == (rep_t.o_a, rep_t.o_at)
 
 
 def test_report_json_schema_roundtrip():

@@ -35,6 +35,22 @@ def check_smith(m: IntMatrix):
     return snf
 
 
+def test_transpose_is_an_involution_and_keeps_empty_shapes():
+    rng = random.Random(2929)
+    for _ in range(50):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)])
+        t = m.transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        assert all(t.entry(j, i) == m.entry(i, j) for i in range(rows) for j in range(cols))
+        assert t.transpose() == m
+    for rows, cols in ((0, 3), (3, 0)):
+        m = IntMatrix.zeros(rows, cols)
+        t = m.transpose()
+        assert (t.rows, t.cols, len(t.entries)) == (cols, rows, cols)
+        assert t.transpose() == m
+
+
 def test_snf_examples():
     # off-diagonal -1s: unimodular, so the form is the identity
     assert check_smith(IntMatrix.from_rows([[0, -1], [-1, 0]])).diagonal() == [1, 1]
