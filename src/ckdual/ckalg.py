@@ -9,23 +9,16 @@ isometries s_1, ..., s_n subject to
 
 Every finite product of generators and adjoints reduces to a linear
 combination of words s_mu s_nu* with mu, nu admissible.  A tensor element
-over several such algebras (plus an optional circle-algebra factor holding
-Laurent powers of z) is an exact combination of elementary tensors, each
-keyed by one normal-form pair (mu, nu) per algebra factor and one z-power per
-circle factor.  Coefficients are ints unless a caller supplies another
-number, which is stored as an exact ``Fraction``.  An element of O_A is a
-one-factor tensor element: ``factors == (tag,)`` and keys ``((mu, nu),)``.
+over several such algebras is an exact combination of elementary tensors,
+each keyed by one normal-form pair (mu, nu) per factor.  Coefficients are
+ints unless a caller supplies another number, which is stored as an exact
+``Fraction``.  An element of O_A is a one-factor tensor element:
+``factors == (tag,)`` and keys ``((mu, nu),)``.
 
-Zero is decided by expanding each algebra factor to the maximum word length
-it carries, using the derived identity
-
-    s_mu s_nu* = sum_k A[mu_end][k] A[nu_end][k] s_{mu k} s_{nu k}*,
-
-and comparing coefficients; terms whose ending letters admit no common
-continuation are zero and are pruned first.  Completeness of this test rests
-on linear independence of the level-normalized nonzero pairs, which holds
-under the Cantor-set hypothesis on the shift and is cross-checked against the
-Fock word model in the test suite.
+The circle algebra C(S^1) is no separate kind of factor: it is the
+Cuntz-Krieger algebra of the 1x1 matrix [1], whose one generator z = s_1 is
+a unitary (s_1 s_1* = 1 = s_1* s_1), and z^d is the pair (0^d, ()) for
+d >= 0 and ((), 0^-d) for d < 0.
 """
 
 from __future__ import annotations
@@ -35,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .sft import ZeroOneMatrix, is_admissible, word_str
+from .sft import ZeroOneMatrix, is_admissible, validate_matrix, word_str
 
 # Bound on the memoized zero-test verdicts; one lemma report needs far fewer.
 _ZERO_TEST_CACHE_SIZE = 4096
@@ -57,12 +50,10 @@ class AlgebraTag:
     symbol: str
 
 
-@dataclass(frozen=True)
-class LaurentCircle:
-    """Circle-algebra factor: finitely supported integer powers of z."""
+# C(S^1) as O_[1]: the circle factor of O_A (x) C(S^1).
+LAURENT = AlgebraTag(validate_matrix([[1]]), "z")
 
-
-LAURENT = LaurentCircle()
+_UNIT = ((), ())
 
 
 def o_a(a: ZeroOneMatrix) -> AlgebraTag:
@@ -73,12 +64,9 @@ def o_at(a: ZeroOneMatrix) -> AlgebraTag:
     return AlgebraTag(a.transpose(), "t")
 
 
-def _is_ck(factor) -> bool:
-    return isinstance(factor, AlgebraTag)
-
-
-def _unit_key(factor):
-    return ((), ()) if _is_ck(factor) else 0
+def _z_key(d: int):
+    """The normal-form pair of z^d in O_[1]."""
+    return ((0,) * d, ()) if d >= 0 else ((), (0,) * -d)
 
 
 def _coeff(c):
@@ -148,10 +136,9 @@ def _expand_position(a: ZeroOneMatrix, terms, pos: int):
 class TensorElement:
     """Finite sum of elementary tensors over a fixed factor signature.
 
-    Factors are :class:`AlgebraTag` instances or the :data:`LAURENT` marker;
-    keys are normal-form pairs (mu, nu) for algebra factors and integer
-    z-powers for the Laurent factor.  ``==`` compares stored terms; use
-    :func:`tensor_equal` for equality in the algebra.
+    Factors are :class:`AlgebraTag` instances (the circle is :data:`LAURENT`);
+    keys hold one normal-form pair (mu, nu) per factor.  ``==`` compares
+    stored terms; use :func:`tensor_equal` for equality in the algebra.
     """
 
     __slots__ = ("factors", "terms")
@@ -194,8 +181,7 @@ class TensorElement:
 
     def adjoint(self) -> "TensorElement":
         return TensorElement(self.factors, {
-            tuple(((k[1], k[0]) if _is_ck(f) else -k) for f, k in zip(self.factors, keys)): c
-            for keys, c in self.terms.items()
+            tuple((nu, mu) for mu, nu in keys): c for keys, c in self.terms.items()
         })
 
     def __str__(self) -> str:
@@ -203,7 +189,7 @@ class TensorElement:
             return "0"
         items = sorted(
             self.terms.items(),
-            key=lambda kv: tuple(_key_sort(f, k) for f, k in zip(self.factors, kv[0])),
+            key=lambda kv: tuple((len(mu) - len(nu), mu, nu) for mu, nu in kv[0]),
         )
         chunks = []
         for keys, c in items:
@@ -221,7 +207,7 @@ def _same_factors(x: TensorElement, y: TensorElement):
 
 
 def tensor_unit(factors) -> TensorElement:
-    return TensorElement(factors, {tuple(_unit_key(f) for f in factors): 1})
+    return TensorElement(factors, {(_UNIT,) * len(factors): 1})
 
 
 def tensor_zero(factors) -> TensorElement:
@@ -253,20 +239,15 @@ def ck_monomial(tag: AlgebraTag, mu, nu, coeff=1) -> TensorElement:
 
 
 def embed_ck(factors, pos: int, x: TensorElement) -> TensorElement:
-    """1 (x) ... (x) x (x) ... (x) 1 with the O_A element x in position pos."""
-    if x.factors != (factors[pos],) or not _is_ck(factors[pos]):
+    """1 (x) ... (x) x (x) ... (x) 1 with the one-factor element x in position pos."""
+    if x.factors != (factors[pos],):
         raise SignatureMismatchError("element does not match the factor at this position")
-    unit = tuple(_unit_key(f) for f in factors)
-    return TensorElement(
-        factors, {unit[:pos] + keys + unit[pos + 1:]: c for keys, c in x.terms.items()}
-    )
+    before, after = (_UNIT,) * pos, (_UNIT,) * (len(factors) - pos - 1)
+    return TensorElement(factors, {before + keys + after: c for keys, c in x.terms.items()})
 
 
 def z_power(factors, pos: int, d: int, coeff=1) -> TensorElement:
-    if _is_ck(factors[pos]):
-        raise SignatureMismatchError("position is not the Laurent factor")
-    unit = tuple(_unit_key(f) for f in factors)
-    return TensorElement(factors, {unit[:pos] + (d,) + unit[pos + 1:]: _coeff(coeff)})
+    return embed_ck(factors, pos, tensor_elem((LAURENT,), (_z_key(d),), coeff))
 
 
 def ck_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
@@ -276,11 +257,8 @@ def ck_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
     for keys1, c1 in x.terms.items():
         for keys2, c2 in y.terms.items():
             per_factor = []
-            for f, k1, k2 in zip(x.factors, keys1, keys2):
-                if _is_ck(f):
-                    per_factor.append(_pair_product(f.matrix, k1[0], k1[1], k2[0], k2[1]))
-                else:
-                    per_factor.append([k1 + k2])
+            for f, (mu, nu), (al, be) in zip(x.factors, keys1, keys2):
+                per_factor.append(_pair_product(f.matrix, mu, nu, al, be))
                 if not per_factor[-1]:
                     break
             else:
@@ -296,14 +274,24 @@ def _is_zero_cached(factors, items) -> bool:
     for pos, f in enumerate(factors):
         if not terms:
             return True
-        if _is_ck(f):
-            terms = _expand_position(f.matrix, terms, pos)
+        terms = _expand_position(f.matrix, terms, pos)
     return not terms
 
 
 def ck_is_zero(x: TensorElement) -> bool:
-    """Zero test in the algebra: expand each algebra factor to the longest
-    word it carries, then compare coefficients."""
+    """Zero test in the algebra.
+
+    Each factor in turn is expanded to the longest word L it carries, by
+    s_mu s_nu* = sum_k A[mu_end][k] A[nu_end][k] s_{mu k} s_{nu k}*, pruning
+    pairs whose ends admit no common continuation; then coefficients are
+    compared.  This is complete when the level-L nonzero pairs of every
+    factor are linearly independent, as elementary tensors of independent
+    families are.  For O_A that holds under the Cantor-set hypothesis on the
+    shift (cross-checked against the Fock word model in the test suite).
+    [1] is no Cantor shift, but O_[1] needs no premise: its level-L pairs are
+    (0^{L+max(d,0)}, 0^{L+max(-d,0)}), one per d, i.e. the distinct powers
+    z^d, which are linearly independent in C(S^1).
+    """
     if not x.terms:
         return True
     return _is_zero_cached(x.factors, frozenset(x.terms.items()))
@@ -345,25 +333,29 @@ def circle_factors(a: ZeroOneMatrix):
     return (o_a(a), LAURENT)
 
 
+def _check_circle_signature(x: TensorElement, error=SignatureMismatchError) -> None:
+    """Raise ``error`` unless x lies in O_A (x) C(S^1), the circle second only."""
+    if len(x.factors) != 2 or x.factors[0] == LAURENT or x.factors[1] != LAURENT:
+        raise error("expected an O_A (x) circle signature")
+
+
 def theta(x: TensorElement) -> TensorElement:
     """The circle-twist automorphism of O_A (x) C(S^1).
 
     s_i (x) 1 maps to s_i (x) z and 1 (x) z is fixed; on normal forms every
-    term s_mu s_nu* (x) z^d moves to s_mu s_nu* (x) z^{d + |mu| - |nu|}.
+    term s_mu s_nu* (x) s_p s_q* moves to s_mu s_nu* (x) z^{|p| - |q| + |mu| - |nu|}.
     """
-    if len(x.factors) != 2 or not _is_ck(x.factors[0]) or _is_ck(x.factors[1]):
-        raise SignatureMismatchError("theta needs an O_A (x) circle signature")
+    _check_circle_signature(x)
     out = {}
-    for ((mu, nu), d), c in x.terms.items():
-        key = ((mu, nu), d + len(mu) - len(nu))
+    for ((mu, nu), (p, q)), c in x.terms.items():
+        key = ((mu, nu), _z_key(len(p) - len(q) + len(mu) - len(nu)))
         out[key] = out.get(key, 0) + c
     return TensorElement(x.factors, out)
 
 
 def forget_grading(x: TensorElement) -> TensorElement:
-    """Evaluation z -> 1: collapse the Laurent factor of O_A (x) C(S^1)."""
-    if len(x.factors) != 2 or not _is_ck(x.factors[0]) or _is_ck(x.factors[1]):
-        raise SignatureMismatchError("expected an O_A (x) circle signature")
+    """Evaluation z -> 1: collapse the circle factor of O_A (x) C(S^1)."""
+    _check_circle_signature(x)
     out = {}
     for (pair, _d), c in x.terms.items():
         out[(pair,)] = out.get((pair,), 0) + c
@@ -387,17 +379,17 @@ def alpha_bar(x: TensorElement) -> TensorElement:
     Defined on 1 (x) z (sent to sum_i 1 (x) t_i (x) s_i*) and on s_k (x) 1
     (sent to alpha_bar(1 (x) z) * (s_k (x) 1 (x) 1)).
     """
-    if len(x.factors) != 2 or not _is_ck(x.factors[0]) or _is_ck(x.factors[1]):
-        raise UnsupportedGeneratorError("expected an O_A (x) circle signature")
+    _check_circle_signature(x, UnsupportedGeneratorError)
     a = x.factors[0].matrix
     items = list(x.terms.items())
     if len(items) != 1 or items[0][1] != 1:
         raise UnsupportedGeneratorError("not a generator: " + str(x))
-    ((mu, nu), d) = items[0][0]
+    ((mu, nu), (p, q)) = items[0][0]
+    d = len(p) - len(q)  # every pair (0^p, 0^q) of O_[1] is z^d
     if mu == () and nu == () and d == 1:
         return alpha_z(a)
     if d == 0 and len(mu) == 1 and nu == ():
-        gen = tensor_elem(triple_factors(a), (((mu[0],), ()), ((), ()), ((), ())))
+        gen = embed_ck(triple_factors(a), 0, ck_generator(o_a(a), mu[0] + 1))
         return ck_multiply(alpha_z(a), gen)
     raise UnsupportedGeneratorError("not a generator: " + str(x))
 
@@ -407,23 +399,10 @@ def alpha_bar(x: TensorElement) -> TensorElement:
 
 
 def _render_key(factor, key) -> str:
-    if _is_ck(factor):
-        mu, nu = key
-        parts = [f"{factor.symbol}[{word_str((i,))}]" for i in mu]
-        parts += [f"{factor.symbol}[{word_str((i,))}]*" for i in reversed(nu)]
-        return "".join(parts) if parts else "1"
-    if key == 0:
-        return "1"
-    if key == 1:
-        return "z"
-    return f"z^{key}"
-
-
-def _key_sort(factor, key):
-    if _is_ck(factor):
-        mu, nu = key
-        return (len(mu) - len(nu), mu, nu)
-    return (key,)
+    mu, nu = key
+    parts = [f"{factor.symbol}[{word_str((i,))}]" for i in mu]
+    parts += [f"{factor.symbol}[{word_str((i,))}]*" for i in reversed(nu)]
+    return "".join(parts) if parts else "1"
 
 
 def _join_coeff(c, body: str) -> str:

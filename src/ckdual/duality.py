@@ -366,11 +366,6 @@ def verify_lemma_W(basis: FockBasis) -> LemmaReport:
     return LemmaReport("W", basis.m_max, a.to_json(), tuple(items + v_items + vi_items))
 
 
-def _generator_triple(a, k: int) -> TensorElement:
-    """s_k (x) 1 (x) 1."""
-    return ckalg.tensor_elem(ckalg.triple_factors(a), ((((k - 1,), ()), ((), ()), ((), ()))))
-
-
 def _w_and_v(basis: FockBasis):
     """W, W*, the V_k = W* (L_k (x) 1), their adjoints and the range
     projections V_k V_k*, each built once (k = 1..n in list order)."""
@@ -402,8 +397,10 @@ def verify_lemma_V(basis: FockBasis) -> LemmaReport:
     a = basis.matrix
     w, w_star, vs, vs_star, ranges = _w_and_v(basis)
     alpha_conj = ckalg.alpha_z(a).adjoint()
+    triple, tag = ckalg.triple_factors(a), ckalg.o_a(a)
     items = [_symbolic_item(f"i(k={k})", quotient_image(v_k),
-                            ckalg.ck_multiply(alpha_conj, _generator_triple(a, k)),
+                            ckalg.ck_multiply(alpha_conj,
+                                              ckalg.embed_ck(triple, 0, ckalg.ck_generator(tag, k))),
                             note="compared against the adjoint circle transport")
              for k, v_k in enumerate(vs, 1)]
     items.append(_hybrid_item("ii", sum(ranges, hybrid_zero(basis)), hybrid_mul(w_star, w)))

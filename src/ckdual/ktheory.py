@@ -91,12 +91,11 @@ class DualityReport:
 
 def _algebra_groups(pres_t: IntMatrix, pres: IntMatrix) -> AlgebraKTheory:
     """The four groups of O_B, given pres_t = 1 - B^T and pres = 1 - B."""
-    n = pres.rows
     return AlgebraKTheory(
-        k0=cokernel(pres_t, n),
+        k0=cokernel(pres_t),
         k1=FGAbelianGroup(len(kernel_basis(pres_t)), ()),
         khom0=FGAbelianGroup(len(kernel_basis(pres)), ()),
-        khom1=cokernel(pres, n),
+        khom1=cokernel(pres),
     )
 
 
@@ -110,7 +109,7 @@ def k_groups(a: ZeroOneMatrix) -> KTheoryReport:
 
 def bowen_franks(a: ZeroOneMatrix) -> FGAbelianGroup:
     """The Bowen-Franks group coker(1 - A)."""
-    return cokernel(one_minus(a), a.n)
+    return cokernel(one_minus(a))
 
 
 def duality_report(a: ZeroOneMatrix) -> DualityReport:
@@ -131,8 +130,8 @@ def duality_report(a: ZeroOneMatrix) -> DualityReport:
     pres = one_minus(a)
     pres_t = one_minus(a.transpose())
     match = pres_t.entries == pres.transpose().entries
-    coker_a = cokernel(pres, a.n)
-    coker_at = cokernel(pres_t, a.n)
+    coker_a = cokernel(pres)
+    coker_at = cokernel(pres_t)
     return DualityReport(
         presentation_match_K0_Khom1=match,
         presentation_match_K1_Khom0=match,

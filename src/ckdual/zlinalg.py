@@ -340,10 +340,8 @@ def kernel_basis(m: IntMatrix) -> list:
     return basis
 
 
-def cokernel(m: IntMatrix, ambient_rank: int) -> FGAbelianGroup:
+def cokernel(m: IntMatrix) -> FGAbelianGroup:
     """The group Z^rows / image(M) via the invariant factors of the Smith form."""
-    if m.rows != ambient_rank:
-        raise ValueError(f"matrix has {m.rows} rows, expected ambient rank {ambient_rank}")
     diag = smith_normal_form(m).diagonal()
     nonzero = [d for d in diag if d]
     torsion = tuple(d for d in nonzero if d >= 2)

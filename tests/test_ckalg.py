@@ -141,9 +141,10 @@ def test_equality_verdicts_cross_checked_against_word_model():
 
     rng = random.Random(13)
     # SPARSE3 has rows with a single allowed continuation, exercising the
-    # forced-extension degeneracies in the zero-prune
-    for a, max_len in ((ones(2), 2), (FIB, 3), (CHORD3, 2), (SPARSE3, 2)):
-        tag = o_a(a)
+    # forced-extension degeneracies in the zero-prune; LAURENT is the circle
+    # C(S^1) = O_[1], where the word model is the unilateral shift
+    tags = [(o_a(a), max_len) for a, max_len in ((ones(2), 2), (FIB, 3), (CHORD3, 2), (SPARSE3, 2))]
+    for tag, max_len in tags + [(LAURENT, 3)]:
         for _ in range(30):
             x = random_ck(rng, tag, max_terms=2, max_len=max_len)
             y = random_ck(rng, tag, max_terms=2, max_len=max_len)
@@ -169,12 +170,46 @@ def test_vacuum_corrections_bound_the_comparison_window():
 
 def test_products_match_word_model_composition():
     rng = random.Random(14)
-    for a in (ones(2), FIB):
-        tag = o_a(a)
+    for tag in (o_a(ones(2)), o_a(FIB), LAURENT):
         for _ in range(30):
             x = random_ck(rng, tag, max_terms=2, max_len=2)
             y = random_ck(rng, tag, max_terms=2, max_len=2)
             assert product_matches_composition(x, y)
+
+
+def test_circle_zero_test_matches_z_degree_oracle():
+    # in C(S^1) = O_[1] the pair (0^p, 0^q) is z^(p - q), so two elements are
+    # equal exactly when their coefficients summed by degree p - q agree
+    def by_degree(x):
+        out = {}
+        for ((p, q),), c in x.terms.items():
+            out[len(p) - len(q)] = out.get(len(p) - len(q), 0) + c
+        return {d: c for d, c in out.items() if c}
+
+    rng = random.Random(19)
+    verdicts = set()
+    for _ in range(200):
+        x = random_ck(rng, LAURENT, max_terms=3, max_len=3)
+        y = random_ck(rng, LAURENT, max_terms=3, max_len=3)
+        for u in (x, ck_multiply(x, y)):
+            v = ck_multiply(y, x)
+            verdict = tensor_equal(u, v)
+            assert verdict == (by_degree(u) == by_degree(v))
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_circle_generator_is_unitary():
+    # z z* and z* z are stored as s_1 s_1*, which is 1 only after expansion
+    z = ck_generator(LAURENT, 1)
+    one = ck_unit(LAURENT)
+    for p in (ck_multiply(z, z.adjoint()), ck_multiply(z.adjoint(), z)):
+        assert p != one
+        assert tensor_equal(p, one)
+        assert oracle_confirms_equality_verdict(p, one, True)
+    fac = circle_factors(FIB)
+    assert tensor_equal(ck_multiply(z_power(fac, 1, 2), z_power(fac, 1, -2)), tensor_unit(fac))
+    assert not tensor_equal(z_power(fac, 1, 1), tensor_unit(fac))
 
 
 def _zero_past_vacuum(x) -> bool:
@@ -321,20 +356,43 @@ def test_forget_grading_is_theta_invariant():
 
 def test_alpha_bar_on_circle_generator():
     a = ones(2)
-    az = alpha_bar(z_power(circle_factors(a), 1, 1))
+    fac = circle_factors(a)
+    az = alpha_bar(z_power(fac, 1, 1))
     assert az == alpha_z(a)
+    # z^2 z^-1 is stored as the pair (0^2, 0^1), which is z in O_[1]
+    assert alpha_bar(ck_multiply(z_power(fac, 1, 2), z_power(fac, 1, -1))) == az
     assert str(az) == "1 ⊗ t[1] ⊗ s[1]* + 1 ⊗ t[2] ⊗ s[2]*"
 
 
 def test_alpha_bar_on_isometry_generators():
     for a in (ones(2), FIB):
         fac = circle_factors(a)
+        z, z_inv = z_power(fac, 1, 1), z_power(fac, 1, -1)
         for k in range(1, a.n + 1):
             img = alpha_bar(embed_ck(fac, 0, s(a, k)))
             gen = ckalg.tensor_elem(
                 triple_factors(a), ((((k - 1,), ()), ((), ()), ((), ())))
             )
             assert tensor_equal(img, ck_multiply(alpha_z(a), gen))
+            assert alpha_bar(embed_ck(fac, 0, s(a, k)) * z * z_inv) == img
+
+
+@pytest.mark.parametrize("signature", [
+    lambda a: (LAURENT, o_a(a)),
+    lambda a: (o_a(a), o_a(a)),
+    lambda a: (LAURENT, LAURENT),
+    lambda a: (o_a(a),),
+    lambda a: (o_a(a), LAURENT, o_a(a)),
+], ids=["circle-first", "two-algebras", "two-circles", "one-factor", "three-factors"])
+def test_circle_maps_reject_other_signatures(signature):
+    fac = signature(ones(2))
+    x = ckalg.tensor_elem(fac, (((0,), ()),) + (((), ()),) * (len(fac) - 1))
+    with pytest.raises(SignatureMismatchError):
+        theta(x)
+    with pytest.raises(SignatureMismatchError):
+        forget_grading(x)
+    with pytest.raises(UnsupportedGeneratorError):
+        alpha_bar(x)
 
 
 def test_alpha_bar_rejects_non_generators():

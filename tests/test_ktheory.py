@@ -4,7 +4,7 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ckdual import zlinalg
+from ckdual import ktheory, zlinalg
 from ckdual.ktheory import (
     bowen_franks,
     duality_report,
@@ -187,6 +187,26 @@ def test_memo_alternating_reports_match_fresh_eliminations(monkeypatch):
     fresh = [json.dumps(report_json(m, True)) for m in order]
     assert memoised == fresh
     assert memoised[0] != memoised[1]
+
+
+def test_k_groups_reads_each_group_from_its_presentation(monkeypatch):
+    # coker(1 - A) and coker(1 - A^T) are isomorphic, so the report cannot show
+    # which one a group was read from; the spies answer with distinct ranks
+    a = higher_block(MIXED4, 2)
+    pres, pres_t = one_minus(a), one_minus(a.transpose())
+    assert pres != pres_t
+    # (cokernel rank, kernel rank) answered for each presenting matrix
+    ranks = {pres.entries: (1, 3), pres_t.entries: (2, 4)}
+    monkeypatch.setattr(ktheory, "cokernel", lambda m: FGAbelianGroup(ranks[m.entries][0], ()))
+    monkeypatch.setattr(ktheory, "kernel_basis", lambda m: [()] * ranks[m.entries][1])
+    report = k_groups(a)
+
+    def read(g):
+        return tuple(x.free_rank for x in (g.k0, g.k1, g.khom0, g.khom1))
+
+    # K_0, K_1 of O_A from 1 - A^T and K^0, K^1 from 1 - A; swapped for O_{A^T}
+    assert read(report.o_a) == (2, 4, 3, 1)
+    assert read(report.o_at) == (1, 3, 4, 2)
 
 
 @st.composite
