@@ -17,7 +17,9 @@ identifies them entrywise.
 A ``ktheory --duality`` report asks for a Smith form ten times (four per
 algebra in ``k_groups``, two in ``duality_report``) but of only two
 matrices, 1 - A and 1 - A^T; the two-entry memo on ``smith_normal_form``
-makes that two eliminations.
+makes that two eliminations, both transform-free.  Only ``kernel_basis``
+reads a transform (V, at the zero diagonal entries), so the transforms of
+a presentation are built, once, only when it is singular: det(1 - A) = 0.
 """
 
 from __future__ import annotations

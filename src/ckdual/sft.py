@@ -83,7 +83,7 @@ class ZeroOneMatrix:
     def transpose(self) -> "ZeroOneMatrix":
         # A zero row of the transpose would be a zero column of self, so the
         # result is valid by construction.
-        return ZeroOneMatrix(self.n, tuple(tuple(r[j] for r in self.rows) for j in range(self.n)))
+        return ZeroOneMatrix(self.n, tuple(zip(*self.rows)))
 
     def to_json(self) -> dict:
         return {"n": self.n, "rows": [list(r) for r in self.rows]}

@@ -9,7 +9,7 @@ computed from these presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from operator import itemgetter
 
@@ -63,11 +63,36 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """U * M * V = S with U, V unimodular and S diagonal with a divisibility chain."""
+    """U * M * V = S with U, V unimodular and S diagonal with a divisibility chain.
 
-    U: IntMatrix
+    S is computed when the form is built; U and V only when one of them is
+    first read, by one more elimination of M that also records the
+    transforms.  Both eliminations run the same operations on S, so U and V
+    are the ones a single transform-carrying elimination gives.  Equality
+    compares (U, S, V); the generated hash reads (M, S), which agrees with
+    it because M = U^-1 S V^-1.
+    """
+
+    M: IntMatrix
     S: IntMatrix
-    V: IntMatrix
+
+    @cached_property
+    def _transforms(self) -> tuple:
+        _, u, v = _eliminate(self.M, True)
+        return u, v
+
+    @property
+    def U(self) -> IntMatrix:
+        return self._transforms[0]
+
+    @property
+    def V(self) -> IntMatrix:
+        return self._transforms[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, SmithForm):
+            return NotImplemented
+        return (self.U, self.S, self.V) == (other.U, other.S, other.V)
 
     def diagonal(self) -> list:
         return [self.S.entry(i, i) for i in range(min(self.S.rows, self.S.cols))]
@@ -154,20 +179,24 @@ def _move_pivot(s, u, vt, t, piv):
     a, b = piv
     if a != t:
         s[a], s[t] = s[t], s[a]
-        u[a], u[t] = u[t], u[a]
+        if u is not None:
+            u[a], u[t] = u[t], u[a]
     if b != t:
         for row in s[t:]:
             row[b], row[t] = row[t], row[b]
-        vt[b], vt[t] = vt[t], vt[b]
+        if vt is not None:
+            vt[b], vt[t] = vt[t], vt[b]
 
 
 def _fold_into_pivot_row(s, u, t, src):
     # row t += row src; S is zero left of column t in both rows
-    st, ut = s[t], u[t]
+    st = s[t]
     for j, x in _nonzeros(s[src], t):
         st[j] += x
-    for j, x in _nonzeros(u[src], 0):
-        ut[j] += x
+    if u is not None:
+        ut = u[t]
+        for j, x in _nonzeros(u[src], 0):
+            ut[j] += x
 
 
 def _clear_below(s, u, t, rows):
@@ -184,12 +213,15 @@ def _clear_below(s, u, t, rows):
         q = si[t] // p
         if q:
             if s_terms is None:
-                s_terms, u_terms = _nonzeros(s[t], t), _nonzeros(u[t], 0)
+                s_terms = _nonzeros(s[t], t)
+                if u is not None:
+                    u_terms = _nonzeros(u[t], 0)
             for j, x in s_terms:
                 si[j] -= q * x
-            ui = u[i]
-            for j, x in u_terms:
-                ui[j] -= q * x
+            if u is not None:
+                ui = u[i]
+                for j, x in u_terms:
+                    ui[j] -= q * x
         if si[t]:
             dirty = True
     return dirty
@@ -218,11 +250,12 @@ def _clear_right(s, vt, t, cols):
             c = row[t]
             for j, q in ops:
                 row[j] -= q * c
-        v_terms = _nonzeros(vt[t], 0)
-        for j, q in ops:
-            vj = vt[j]
-            for k, x in v_terms:
-                vj[k] -= q * x
+        if vt is not None:
+            v_terms = _nonzeros(vt[t], 0)
+            for j, q in ops:
+                vj = vt[j]
+                for k, x in v_terms:
+                    vj[k] -= q * x
     return dirty
 
 
@@ -236,22 +269,14 @@ def _first_indivisible_row(s, t, rows, cols):
     return None
 
 
-@lru_cache(maxsize=2)
-def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Diagonalize over Z by elementary (unimodular) row and column operations.
-
-    Memoised on the matrix's value, for the two most recent matrices.  A
-    K-theory report factors only 1 - A and 1 - A^T, but asks for them ten
-    times through ``cokernel`` and ``kernel_basis`` (four per algebra in
-    ``k_groups`` and two in ``duality_report``), so two entries turn ten
-    eliminations into two.  Every caller of the same matrix gets the same
-    ``SmithForm`` object; it and its ``IntMatrix`` fields are frozen and
-    hold only tuples, so sharing it is safe.  ``smith_normal_form.__wrapped__``
-    runs a fresh elimination.
+def _eliminate(m: IntMatrix, transforms: bool) -> tuple:
+    """(S, U, V) of the Smith form of m; U and V are None unless ``transforms``.
 
     Deterministic: the pivot is always the entry of smallest nonzero absolute
     value in the active submatrix, ties broken in row-major order.  The
-    diagonal is made non-negative and satisfies d_i | d_{i+1}.
+    diagonal is made non-negative and satisfies d_i | d_{i+1}.  Which
+    operations run is decided by S alone, so S is the same with or without
+    ``transforms``; without them every update of U and V^T is skipped.
 
     At step t every row and column of S before t is already cleared except
     for its diagonal entry, and no later operation mixes them back in: row
@@ -269,8 +294,9 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     """
     rows, cols = m.rows, m.cols
     s = m.to_lists()
-    u = _identity_lists(rows)
-    vt = _identity_lists(cols)  # V transposed: its column operations become row operations
+    u = _identity_lists(rows) if transforms else None
+    # V transposed: its column operations become row operations
+    vt = _identity_lists(cols) if transforms else None
     t = 0
     while t < min(rows, cols):
         piv = _pivot(s, t, rows, cols)
@@ -291,11 +317,39 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
         if s[t][t] < 0:
             # the rest of row t of S is already zero
             s[t][t] = -s[t][t]
-            u[t] = [-x for x in u[t]]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
         t += 1
-    return SmithForm(IntMatrix(rows, rows, tuple(map(tuple, u))),
-                     IntMatrix(rows, cols, tuple(map(tuple, s))),
-                     IntMatrix(cols, cols, tuple(zip(*vt))))
+    out = IntMatrix(rows, cols, tuple(map(tuple, s)))
+    if not transforms:
+        return out, None, None
+    return (out, IntMatrix(rows, rows, tuple(map(tuple, u))),
+            IntMatrix(cols, cols, tuple(zip(*vt))))
+
+
+@lru_cache(maxsize=2)
+def smith_normal_form(m: IntMatrix) -> SmithForm:
+    """Diagonalize over Z by elementary (unimodular) row and column operations.
+
+    S is eliminated eagerly and without transforms; U and V are built when
+    a caller first reads one of them, by a second elimination of the same
+    matrix with the same pivot sequence (see ``SmithForm`` and
+    ``_eliminate``), so they equal those of one transform-carrying
+    elimination bit for bit.  A K-theory report reads only diagonals, plus
+    V when a presentation is singular, so a nonsingular report never builds
+    a transform.
+
+    Memoised on the matrix's value, for the two most recent matrices.  A
+    K-theory report factors only 1 - A and 1 - A^T, but asks for them ten
+    times through ``cokernel`` and ``kernel_basis`` (four per algebra in
+    ``k_groups`` and two in ``duality_report``), so two entries turn ten
+    eliminations into two.  Every caller of the same matrix gets the same
+    ``SmithForm`` object, transforms included once built; it and its
+    ``IntMatrix`` fields are frozen and hold only tuples, so sharing it is
+    safe.  ``smith_normal_form.__wrapped__`` runs a fresh elimination.
+    """
+    s, _, _ = _eliminate(m, False)
+    return SmithForm(m, s)
 
 
 def determinant(m: IntMatrix) -> int:
@@ -328,7 +382,7 @@ def kernel_basis(m: IntMatrix) -> list:
 
     Basis vectors are the columns of V (from the Smith form) that pair with a
     zero diagonal entry; each is primitive because V is unimodular.  Empty
-    list when the kernel is trivial.
+    list when the kernel is trivial, and then V is never read, so never built.
     """
     snf = smith_normal_form(m)
     diag = snf.diagonal()

@@ -1,6 +1,7 @@
 import json
 import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -187,6 +188,34 @@ def test_memo_alternating_reports_match_fresh_eliminations(monkeypatch):
     fresh = [json.dumps(report_json(m, True)) for m in order]
     assert memoised == fresh
     assert memoised[0] != memoised[1]
+
+
+@pytest.mark.parametrize("a, presentations, singular", [
+    (higher_block(FIB, 6), 2, False),
+    (SWAP, 1, True),  # 1 - A is symmetric, so 1 - A^T is the same matrix
+    (validate_matrix([[1, 1], [0, 1]]), 2, True),
+], ids=["FIB^[6]", "2-cycle", "upper-triangular"])
+def test_transforms_built_once_per_singular_presentation(monkeypatch, a, presentations, singular):
+    # only kernel_basis reads V, and only at a zero diagonal entry; the memoised
+    # form keeps the transforms once built, so its repeated calls do not redo them
+    runs, kernel_calls = [], []
+    eliminate, kernel = zlinalg._eliminate, ktheory.kernel_basis
+
+    def spy_eliminate(m, transforms):
+        runs.append(transforms)
+        return eliminate(m, transforms)
+
+    def spy_kernel(m):
+        kernel_calls.append(m)
+        return kernel(m)
+
+    monkeypatch.setattr(zlinalg, "_eliminate", spy_eliminate)
+    monkeypatch.setattr(ktheory, "kernel_basis", spy_kernel)
+    smith_normal_form.cache_clear()
+    report_json(a, True)
+    assert len(kernel_calls) == 4
+    assert runs.count(False) == presentations
+    assert runs.count(True) == (presentations if singular else 0)
 
 
 def test_k_groups_reads_each_group_from_its_presentation(monkeypatch):

@@ -144,6 +144,8 @@ def test_transpose_examples():
     assert a.transpose() == a  # also symmetric
     b = validate_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     assert b.transpose().rows == ((1, 0, 1), (1, 1, 0), (0, 1, 1))
+    for a in all_valid_matrices(3):
+        assert a.transpose().rows == tuple(tuple(a.entry(i, j) for i in range(3)) for j in range(3))
 
 
 def test_word_str_rendering():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ckdual.zlinalg import (
     FGAbelianGroup,
     IntMatrix,
+    _eliminate,
     cokernel,
     determinant,
     kernel_basis,
@@ -112,6 +113,26 @@ def test_snf_large_entries():
 )
 def test_snf_properties_hypothesis(rows):
     check_smith(IntMatrix.from_rows(rows))
+
+
+@st.composite
+def _int_matrices(draw):
+    """Integer matrices of every shape up to 5 x 5, 0 x c and r x 0 included."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    line = st.lists(st.integers(min_value=-9, max_value=9), min_size=cols, max_size=cols)
+    return IntMatrix(rows, cols, tuple(tuple(draw(line)) for _ in range(rows)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_int_matrices())
+def test_transforms_read_after_the_fact_fit_the_eager_diagonal(m):
+    snf = smith_normal_form.__wrapped__(m)
+    assert "_transforms" not in snf.__dict__  # S came from the transform-free run
+    s, u, v = _eliminate(m, True)
+    assert snf.S == s
+    assert (snf.U, snf.V) == (u, v)
+    assert snf.U.mul(m).mul(snf.V) == snf.S
+    assert abs(determinant(snf.U)) == abs(determinant(snf.V)) == 1
 
 
 def test_kernel_examples():
