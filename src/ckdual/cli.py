@@ -22,6 +22,25 @@ EXIT_DEFECTS = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+# Most letters (the lengths of all words, summed) that ``words`` or a Fock
+# basis may hold: about 5.5 times the 3.03M letters of the all-ones 4 x 4
+# matrix at --max-length 9.
+LETTER_BUDGET = 1 << 24
+
+
+class SizeBudgetError(ValueError):
+    """The words a command would enumerate hold more than LETTER_BUDGET letters."""
+
+
+def _check_letters(a: sft.ZeroOneMatrix, lo: int, hi: int) -> None:
+    letters = sft.count_letters(a, lo, hi, LETTER_BUDGET)
+    if letters > LETTER_BUDGET:
+        span = f"length {hi}" if lo == hi else f"lengths {lo}..{hi}"
+        raise SizeBudgetError(
+            f"the words of {span} would hold at least {letters} letters, "
+            f"more than the budget of {LETTER_BUDGET}"
+        )
+
 
 def _emit_json(obj) -> None:
     # streamed: json.dumps would hold every chunk of the indented text at once
@@ -66,6 +85,7 @@ def cmd_validate(args) -> int:
 
 def cmd_words(args) -> int:
     a = sft.load_matrix(args.matrix)
+    _check_letters(a, args.length, args.length)
     words = sft.enumerate_words(a, args.length)
     if args.json:
         _emit_json(
@@ -125,6 +145,7 @@ def cmd_duality(args) -> int:
 
 def cmd_fock_verify(args) -> int:
     a = sft.load_matrix(args.matrix)
+    _check_letters(a, 0, args.max_length)
     _warn_unless_cantor(a)
     basis = fock.FockBasis(a, args.max_length)
     reports = fock.verify_creation_relations(basis, args.relation)
@@ -150,6 +171,7 @@ def cmd_fock_verify(args) -> int:
 
 def cmd_lemma_verify(args) -> int:
     a = sft.load_matrix(args.matrix)
+    _check_letters(a, 0, args.max_length)
     _warn_unless_cantor(a)
     basis = fock.FockBasis(a, args.max_length)
     report = dualitymod.verify_lemmas(basis, args.which)
@@ -173,6 +195,7 @@ def cmd_lemma_verify(args) -> int:
 
 def cmd_pairing(args) -> int:
     a = sft.load_matrix(args.matrix)
+    _check_letters(a, 0, args.max_length)
     _warn_unless_cantor(a)
     basis = fock.FockBasis(a, args.max_length)
     _x, report = fock.rotation_operator(basis)
@@ -264,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (sft.MatrixValidationError, sft.MatrixFormatError, OSError) as exc:
+    except (sft.MatrixValidationError, sft.MatrixFormatError, SizeBudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:

@@ -209,6 +209,31 @@ def count_words(a: ZeroOneMatrix, m: int) -> int:
     return sum(row_sums)
 
 
+def count_letters(a: ZeroOneMatrix, lo: int, hi: int, limit: int) -> int:
+    """Letters held by all admissible words of lengths lo..hi: the sum of
+    count_words(a, m) * m.  Counting stops once the total is known to pass
+    ``limit``, and a result above ``limit`` is then a lower bound.
+
+    A valid matrix has no zero row, so every word extends and the number of
+    words never falls as the length grows.  So at every m < hi the total is
+    at least the letters counted so far plus count_words(a, m) * hi, and a
+    length hi above ``limit`` passes it before any counting: the count takes
+    at most ``limit`` steps.
+    """
+    if hi > limit:
+        return hi
+    total, row_sums = 0, [1] * a.n
+    for m in range(1, hi + 1):
+        c = sum(row_sums)
+        if m >= lo:
+            total += c * m
+        if m < hi:
+            if total + c * hi > limit:
+                return total + c * hi
+            row_sums = [sum(row_sums[j] for j in succ) for succ in a.succ]
+    return total
+
+
 def word_str(word) -> str:
     """Render a word with 1-based letters; dot-separated once letters exceed 9."""
     if not word:
@@ -264,7 +289,8 @@ def parse_matrix_text(text: str) -> ZeroOneMatrix:
 
 def load_matrix(path: str) -> ZeroOneMatrix:
     """Load a defining matrix from a JSON or plain-text file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would hide a JSON "{"
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import compress, count
 from operator import itemgetter
 
 
@@ -66,11 +66,12 @@ class SmithForm:
     """U * M * V = S with U, V unimodular and S diagonal with a divisibility chain.
 
     S is computed when the form is built; U and V only when one of them is
-    first read, by one more elimination of M that also records the
-    transforms.  Both eliminations run the same operations on S, so U and V
-    are the ones a single transform-carrying elimination gives.  Equality
-    compares (U, S, V); the generated hash reads (M, S), which agrees with
-    it because M = U^-1 S V^-1.
+    first read, by one more elimination of M bordered by identities that
+    carry the transforms.  Both eliminations choose every operation from the
+    M block alone, so they run the same operations on it and the second one
+    reproduces S.  Equality and hash are the generated ones on (M, S), and
+    comparing two forms never builds a transform: U and V are functions of
+    M, so equal (M, S) means equal (U, S, V).
     """
 
     M: IntMatrix
@@ -88,11 +89,6 @@ class SmithForm:
     @property
     def V(self) -> IntMatrix:
         return self._transforms[1]
-
-    def __eq__(self, other):
-        if not isinstance(other, SmithForm):
-            return NotImplemented
-        return (self.U, self.S, self.V) == (other.U, other.S, other.V)
 
     def diagonal(self) -> list:
         return [self.S.entry(i, i) for i in range(min(self.S.rows, self.S.cols))]
@@ -160,7 +156,7 @@ def _pivot(s, t, rows, cols):
     best, best_abs = None, 0
     for i in range(t, rows):
         row = s[i]
-        for j in compress(range(t, cols), row[t:]):
+        for j in compress(range(t, cols), row[t:cols]):
             a = abs(row[j])
             if a == 1:
                 return i, j
@@ -169,76 +165,62 @@ def _pivot(s, t, rows, cols):
     return best
 
 
-def _nonzeros(row, start):
-    """(j, row[j]) for the nonzero entries with j >= start; zeros are skipped in C."""
-    return [(j, row[j]) for j in compress(range(start, len(row)), row[start:])]
+def _nonzeros(row, start, stop=None):
+    """(j, row[j]) for the nonzero entries with start <= j < stop (no stop: to the
+    end of the row); zeros are skipped in C."""
+    return [(j, row[j]) for j in compress(count(start), row[start:stop])]
 
 
-def _move_pivot(s, u, vt, t, piv):
-    """Swap the pivot to (t, t): row swap in S and U, column swap in S and V."""
+def _move_pivot(s, t, piv):
+    """Swap the pivot to (t, t): one row swap and one column swap."""
     a, b = piv
     if a != t:
         s[a], s[t] = s[t], s[a]
-        if u is not None:
-            u[a], u[t] = u[t], u[a]
     if b != t:
         for row in s[t:]:
             row[b], row[t] = row[t], row[b]
-        if vt is not None:
-            vt[b], vt[t] = vt[t], vt[b]
 
 
-def _fold_into_pivot_row(s, u, t, src):
-    # row t += row src; S is zero left of column t in both rows
+def _fold_into_pivot_row(s, t, src):
+    # row t += row src; both rows are zero left of column t
     st = s[t]
     for j, x in _nonzeros(s[src], t):
         st[j] += x
-    if u is not None:
-        ut = u[t]
-        for j, x in _nonzeros(u[src], 0):
-            ut[j] += x
 
 
-def _clear_below(s, u, t, rows):
+def _clear_below(s, t, rows):
     """Row operations row i -= (s[i][t] // p) * row t for every i > t.
 
     None of them writes row t, so its nonzeros are collected once.  Returns
     whether a nonzero remainder is left in column t.
     """
     p = s[t][t]
-    s_terms = u_terms = None
+    terms = None
     dirty = False
-    for i in compress(range(t + 1, rows), map(itemgetter(t), s[t + 1:])):
+    for i in compress(range(t + 1, rows), map(itemgetter(t), s[t + 1:rows])):
         si = s[i]
         q = si[t] // p
         if q:
-            if s_terms is None:
-                s_terms = _nonzeros(s[t], t)
-                if u is not None:
-                    u_terms = _nonzeros(u[t], 0)
-            for j, x in s_terms:
+            if terms is None:
+                terms = _nonzeros(s[t], t)
+            for j, x in terms:
                 si[j] -= q * x
-            if u is not None:
-                ui = u[i]
-                for j, x in u_terms:
-                    ui[j] -= q * x
         if si[t]:
             dirty = True
     return dirty
 
 
-def _clear_right(s, vt, t, cols):
-    """Column operations col j -= (s[t][j] // p) * col t for every j > t, in one pass.
+def _clear_right(s, t, cols):
+    """Column operations col j -= (s[t][j] // p) * col t for every t < j < cols.
 
-    Each reads only column t and none writes it, so they commute: on S they
-    are applied in one sweep over the rows, and on V (held as its transpose
-    vt) each is a row operation with the nonzeros of column t.  Returns
-    whether a nonzero remainder is left in row t.
+    Each reads only column t and none writes it, so they commute and are
+    applied in one sweep over the rows.  Returns whether a nonzero remainder
+    is left in row t.
     """
     p = s[t][t]
     ops = []
     dirty = False
-    for j, x in _nonzeros(s[t], t + 1):
+    for j, x in _nonzeros(s[t], t + 1, cols):
         q = x // p
         if q:
             ops.append((j, q))
@@ -250,12 +232,6 @@ def _clear_right(s, vt, t, cols):
             c = row[t]
             for j, q in ops:
                 row[j] -= q * c
-        if vt is not None:
-            v_terms = _nonzeros(vt[t], 0)
-            for j, q in ops:
-                vj = vt[j]
-                for k, x in v_terms:
-                    vj[k] -= q * x
     return dirty
 
 
@@ -274,68 +250,76 @@ def _eliminate(m: IntMatrix, transforms: bool) -> tuple:
 
     Deterministic: the pivot is always the entry of smallest nonzero absolute
     value in the active submatrix, ties broken in row-major order.  The
-    diagonal is made non-negative and satisfies d_i | d_{i+1}.  Which
-    operations run is decided by S alone, so S is the same with or without
-    ``transforms``; without them every update of U and V^T is skipped.
+    diagonal is made non-negative and satisfies d_i | d_{i+1}.
 
-    At step t every row and column of S before t is already cleared except
+    With ``transforms`` the elimination runs on m bordered by identities,
+    ``[[m, I_rows], [I_cols, 0]]``: a row operation on the rows of m carries
+    on into the columns past ``m.cols``, which end up holding U, and a column
+    operation on the columns of m carries on into the rows past ``m.rows``,
+    which end up holding V.  Every pivot scan, divisibility scan, quotient
+    and remainder test reads the m block only, so which operations run is
+    decided by m alone and S is the same with or without the border; the
+    border only ever receives updates.
+
+    At step t every row and column of m before t is already cleared except
     for its diagonal entry, and no later operation mixes them back in: row
     operations combine rows >= t and column operations combine columns >= t.
-    So row operations on S touch only columns >= t, column operations on S
-    only rows >= t, and both skip zero source entries.  V is held transposed,
-    so its column operations are row operations as well, and U and V^T are
-    updated only where the source row is nonzero.  The column operations of
-    one reduction pass all read column t and none writes it, so on S they
-    are applied together in a single sweep over rows >= t.  A pivot of
-    absolute value 1 divides everything, so the divisibility scan is skipped
-    for it.  None of this changes which operations run, and the arithmetic
-    is exact, so U, S and V are exactly those of the plain entry-by-entry
-    elimination.
+    So row operations touch only columns >= t, column operations only rows
+    >= t, and both skip zero source entries.  The column operations of one
+    reduction pass all read column t and none writes it, so they are applied
+    together in a single sweep over rows >= t.  A pivot of absolute value 1
+    divides everything, so the divisibility scan is skipped for it.  None of
+    this changes which operations run, and the arithmetic is exact, so U, S
+    and V are exactly those of the plain entry-by-entry elimination.  S is
+    diagonal at the end and is read off the diagonal.
     """
     rows, cols = m.rows, m.cols
     s = m.to_lists()
-    u = _identity_lists(rows) if transforms else None
-    # V transposed: its column operations become row operations
-    vt = _identity_lists(cols) if transforms else None
+    if transforms:
+        for row, e in zip(s, _identity_lists(rows)):
+            row += e
+        s += [e + [0] * rows for e in _identity_lists(cols)]
     t = 0
     while t < min(rows, cols):
         piv = _pivot(s, t, rows, cols)
         if piv is None:
             break
-        _move_pivot(s, u, vt, t, piv)
+        _move_pivot(s, t, piv)
         # run both passes every round: the column pass reads the remainders
         # the row pass leaves in column t
-        while _clear_below(s, u, t, rows) | _clear_right(s, vt, t, cols):
+        while _clear_below(s, t, rows) | _clear_right(s, t, cols):
             # leftover remainders are strictly smaller than the pivot; re-center
-            _move_pivot(s, u, vt, t, _pivot(s, t, rows, cols))
+            _move_pivot(s, t, _pivot(s, t, rows, cols))
         if abs(s[t][t]) != 1:
             bad = _first_indivisible_row(s, t, rows, cols)
             if bad is not None:
                 # fold the offending row into row t so the next pivot divides it
-                _fold_into_pivot_row(s, u, t, bad)
+                _fold_into_pivot_row(s, t, bad)
                 continue
-        if s[t][t] < 0:
-            # the rest of row t of S is already zero
-            s[t][t] = -s[t][t]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
+        st = s[t]
+        if st[t] < 0:
+            # the rest of row t of m is already zero; U's row is negated with it
+            st[t] = -st[t]
+            st[cols:] = [-x for x in st[cols:]]
         t += 1
-    out = IntMatrix(rows, cols, tuple(map(tuple, s)))
+    zero = (0,) * cols
+    out = IntMatrix(rows, cols, tuple(
+        zero[:i] + (s[i][i],) + zero[i + 1:] if i < cols else zero for i in range(rows)))
     if not transforms:
         return out, None, None
-    return (out, IntMatrix(rows, rows, tuple(map(tuple, u))),
-            IntMatrix(cols, cols, tuple(zip(*vt))))
+    return (out, IntMatrix(rows, rows, tuple(tuple(r[cols:]) for r in s[:rows])),
+            IntMatrix(cols, cols, tuple(tuple(r[:cols]) for r in s[rows:])))
 
 
 @lru_cache(maxsize=2)
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Diagonalize over Z by elementary (unimodular) row and column operations.
 
-    S is eliminated eagerly and without transforms; U and V are built when
-    a caller first reads one of them, by a second elimination of the same
-    matrix with the same pivot sequence (see ``SmithForm`` and
-    ``_eliminate``), so they equal those of one transform-carrying
-    elimination bit for bit.  A K-theory report reads only diagonals, plus
+    S is eliminated eagerly on the plain matrix; U and V are built when a
+    caller first reads one of them, by a second elimination of the same
+    matrix bordered by identities, which runs the same pivot sequence (see
+    ``SmithForm`` and ``_eliminate``), so they equal those of one
+    transform-carrying elimination bit for bit.  A K-theory report reads only diagonals, plus
     V when a presentation is singular, so a nonsingular report never builds
     a transform.
 

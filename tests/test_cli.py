@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ckdual import cli
+from ckdual import cli, fock, sft
 from ckdual.cli import main
 
 
@@ -176,6 +176,36 @@ def test_json_outputs_roundtrip_and_deterministic(capsys, fib_file):
         assert out1 == out2  # byte-identical
         assert code1 == code2
         assert json.loads(out1) == json.loads(out2)
+
+
+# The all-ones 4 x 4 matrix has 4^m words of length m, the 2 x 2 swap two.
+ONES4_LETTERS_TO_14 = sum(4**m * m for m in range(15))
+
+
+@pytest.mark.parametrize(
+    "rows, argv, exact",
+    [
+        ([[1] * 4] * 4, ["fock-verify", "--max-length", "14"], ONES4_LETTERS_TO_14),
+        ([[1] * 4] * 4, ["lemma-verify", "--max-length", "14"], ONES4_LETTERS_TO_14),
+        ([[1] * 4] * 4, ["pairing", "--max-length", "14"], ONES4_LETTERS_TO_14),
+        ([[0, 1], [1, 0]], ["words", "--length", "1000000000"], 2 * 10**9),
+    ],
+    ids=["fock-verify", "lemma-verify", "pairing", "words"],
+)
+def test_size_budget_rejects_from_the_count_alone(capsys, monkeypatch, tmp_path, rows, argv, exact):
+    def never(*_args):
+        raise AssertionError("enumerated words over the budget")
+
+    monkeypatch.setattr(sft, "enumerate_words", never)
+    monkeypatch.setattr(fock, "enumerate_words", never)
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({"n": len(rows), "rows": rows}))
+    code, out, err = run(capsys, argv[0], "--matrix", str(p), *argv[1:])
+    assert code == 2
+    assert out == ""
+    letters = int(err.split("at least ")[1].split()[0])
+    assert cli.LETTER_BUDGET < letters <= exact
+    assert f"budget of {cli.LETTER_BUDGET}" in err
 
 
 def test_max_length_validation(capsys, fib_file):

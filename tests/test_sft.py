@@ -6,11 +6,13 @@ from ckdual.sft import (
     NotSquareError,
     ZeroColumnError,
     ZeroRowError,
+    count_letters,
     count_words,
     enumerate_words,
     is_admissible,
     is_aperiodic,
     is_irreducible,
+    load_matrix,
     parse_matrix_json,
     parse_matrix_text,
     satisfies_cantor_condition,
@@ -130,6 +132,30 @@ def test_count_matches_enumeration_up_to_8():
             assert count_words(a, m) == len(words)
             assert all(is_admissible(a, w) for w in words)
             assert words == sorted(words)
+
+
+def test_count_letters_matches_word_counts_and_stops_past_the_limit():
+    for a in relation_family():
+        for lo, hi in [(0, 0), (3, 3), (0, 6), (2, 7)]:
+            exact = sum(count_words(a, m) * m for m in range(lo, hi + 1))
+            assert count_letters(a, lo, hi, 10**9) == exact
+            for limit in (exact - 1, exact, exact // 3):
+                got = count_letters(a, lo, hi, limit)
+                # exact up to the limit; past it, a lower bound that passes it
+                assert got == exact if exact <= limit else limit < got <= exact
+
+
+def test_count_letters_rejects_a_length_over_the_limit_without_counting():
+    assert count_letters(SWAP, 10**9, 10**9, 1 << 24) == 10**9
+
+
+@pytest.mark.parametrize(
+    "text", ['{"n": 2, "rows": [[1, 1], [1, 0]]}', "1 1\n1 0\n"], ids=["json", "text"]
+)
+def test_load_matrix_skips_a_byte_order_mark(tmp_path, text):
+    p = tmp_path / "m"
+    p.write_text("\ufeff" + text, encoding="utf-8")
+    assert load_matrix(str(p)) == FIB
 
 
 def test_transpose_involution_and_aperiodicity_invariance():

@@ -135,6 +135,14 @@ def test_transforms_read_after_the_fact_fit_the_eager_diagonal(m):
     assert abs(determinant(snf.U)) == abs(determinant(snf.V)) == 1
 
 
+def test_comparing_smith_forms_builds_no_transform():
+    m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    a, b = smith_normal_form.__wrapped__(m), smith_normal_form.__wrapped__(m)
+    assert a == b and hash(a) == hash(b)
+    assert a != smith_normal_form.__wrapped__(IntMatrix.identity(3))
+    assert "_transforms" not in a.__dict__ and "_transforms" not in b.__dict__
+
+
 def test_kernel_examples():
     assert kernel_basis(IntMatrix.identity(2)) == []
     assert kernel_basis(IntMatrix.from_rows([[0]])) == [(1,)]
