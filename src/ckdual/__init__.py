@@ -39,13 +39,12 @@ from .fock import (
     FockBasis,
     FockOperator,
     build_creation,
-    orbit_spans,
     rotation_operator,
     vacuum_projection,
     verify_creation_relations,
     verify_relation,
 )
-from .ktheory import KTheoryReport, bowen_franks, duality_report, k_groups
+from .ktheory import KTheoryReport, duality_report, k_groups
 from .sft import (
     ZeroOneMatrix,
     count_words,

@@ -43,10 +43,15 @@ k w < k w' exactly when w < w'.  So the i-th source in basis order maps to
 the i-th target, and both lists are read off the first letters of the
 words.  R_k is the same with last letters (w -> w k, A[w_end][k] = 1,
 targets ending in k).
+
+This module holds only the Fock model.  The word-model oracle that checks
+the symbolic layer, and the orbit check of the creation operators, are
+reference paths and live with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
@@ -63,12 +68,9 @@ class FockBasis:
             raise ValueError("m_max must be >= 1")
         self.matrix = matrix
         self.m_max = m_max
-        self.words = []
-        self.sector_bounds = []  # (start, end) per word length
-        for m in range(m_max + 1):
-            start = len(self.words)
-            self.words.extend(enumerate_words(matrix, m))
-            self.sector_bounds.append((start, len(self.words)))
+        self.words = enumerate_words(matrix, 0, m_max)
+        ends = [bisect_right(self.words, m, key=len) for m in range(m_max + 1)]
+        self.sector_bounds = list(zip([0] + ends, ends))  # (start, end) per word length
 
     @cached_property
     def index(self) -> dict:
@@ -344,30 +346,6 @@ def verify_creation_relations(basis: FockBasis, which: str = "all"):
     return [verify_relation(label, lhs, rhs) for label, lhs, rhs in creation_relations(basis, which)]
 
 
-def orbit_spans(basis: FockBasis) -> bool:
-    """True iff words reachable from the vacuum under {L_k, R_k, adjoints}
-    exhaust the truncated basis."""
-    n = basis.matrix.n
-    ops = []
-    for k in range(1, n + 1):
-        for side in ("left", "right"):
-            op = build_creation(basis, side, k)
-            ops.append(op)
-            ops.append(op.adjoint())
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for j in frontier:
-            for op in ops:
-                for i in op.column(j):
-                    if i not in seen:
-                        seen.add(i)
-                        nxt.append(i)
-        frontier = nxt
-    return len(seen) == basis.size
-
-
 # ---------------------------------------------------------------------------
 # the rotation operator X = sum_i L_i* R_i and its per-sector index
 
@@ -441,69 +419,3 @@ def rotation_operator(basis: FockBasis):
                 hit_rows.update(col)
         sectors.append(SectorIndex(m, dim, ker, dim - len(hit_rows)))
     return x, IndexReport(tuple(sectors), vacuum, n)
-
-
-# ---------------------------------------------------------------------------
-# word-model evaluation of symbolic elements (the independent oracle)
-#
-# These act on plain words with no truncation: each normal-form pair is
-# applied one generator at a time via the displayed creation/annihilation
-# rules, so the evaluation is independent of the symbolic reduction rules it
-# is used to check.  ``_create`` and ``pair_action_on_word`` read ``entry``
-# on purpose and must never use ``ZeroOneMatrix.succ`` or
-# ``ckalg._continuations``: they are the check on those two.
-
-
-def _annihilate(k0: int, w):
-    return w[1:] if w and w[0] == k0 else None
-
-
-def _create(a: ZeroOneMatrix, k0: int, w):
-    if w and not a.entry(k0, w[0]):
-        return None
-    return (k0,) + w
-
-
-def pair_action_on_word(a: ZeroOneMatrix, mu, nu, w):
-    """Apply L_mu L_nu* to xi_w; returns the image word or None."""
-    for k0 in nu:
-        w = _annihilate(k0, w)
-        if w is None:
-            return None
-    for k0 in reversed(mu):
-        w = _create(a, k0, w)
-        if w is None:
-            return None
-    return w
-
-
-def ck_action_on_word(x, w) -> dict:
-    """Image of xi_w under the word-model evaluation of the O_A element x (a
-    one-factor tensor element), as {word: coeff}."""
-    a = x.factors[0].matrix
-    out = {}
-    for ((mu, nu),), c in x.terms.items():
-        img = pair_action_on_word(a, mu, nu, w)
-        if img is not None:
-            t = out.get(img, 0) + c
-            if t:
-                out[img] = t
-            else:
-                del out[img]
-    return out
-
-
-def ck_compose_on_word(elems, w) -> dict:
-    """Apply a composition x_1 ∘ ... ∘ x_m (rightmost first) to xi_w."""
-    vec = {tuple(w): 1}
-    for x in reversed(list(elems)):
-        nxt = {}
-        for word, c in vec.items():
-            for img, c2 in ck_action_on_word(x, word).items():
-                t = nxt.get(img, 0) + c * c2
-                if t:
-                    nxt[img] = t
-                else:
-                    del nxt[img]
-        vec = nxt
-    return vec

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import gcd
 
 
@@ -53,6 +54,12 @@ class MatrixFormatError(ValueError):
 
 
 Word = tuple  # tuple of 0-based letters
+
+ECHO_WIDTH = 40  # most characters of an offending input that a message repeats
+
+
+def _clip(text: str) -> str:
+    return text if len(text) <= ECHO_WIDTH else text[:ECHO_WIDTH] + f"... ({len(text)} characters)"
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,7 @@ def validate_matrix(raw) -> ZeroOneMatrix:
     for r in rows:
         for e in r:
             if not isinstance(e, int) or isinstance(e, bool) or e not in (0, 1):
-                raise NonBinaryEntryError(f"entry {e!r} is not 0 or 1")
+                raise NonBinaryEntryError(f"entry {_clip(repr(e))} is not 0 or 1")
     for i, r in enumerate(rows):
         if not any(r):
             raise ZeroRowError(i + 1)
@@ -180,19 +187,49 @@ def is_admissible(a: ZeroOneMatrix, word) -> bool:
     return all(a.entry(word[i], word[i + 1]) == 1 for i in range(len(word) - 1))
 
 
-def enumerate_words(a: ZeroOneMatrix, m: int) -> list:
-    """All admissible words of length exactly m, in lexicographic order.
+def _join(left, right, succ) -> list:
+    """The words u v, with u in ``left[i]`` and v in ``right[j]`` for each
+    letter j that may follow the last letter of u, grouped by first letter i.
 
-    Length 0 yields the singleton empty word.
+    Both arguments hold one lexicographically ordered list per first letter,
+    and so does the result: u ascends, then j, then v.
     """
-    if m < 0:
-        raise ValueError("word length must be >= 0")
-    if m == 0:
-        return [()]
+    return [[u + v for u in us for j in succ[u[-1]] for v in right[j]] for us in left]
+
+
+def enumerate_words(a: ZeroOneMatrix, lo: int, hi: int | None = None) -> list:
+    """All admissible words of lengths lo..hi (hi defaults to lo), shortest
+    first and in lexicographic order within a length: the Fock basis order.
+
+    Length 0 holds the singleton empty word.  A word of length p + q is a
+    word of length p followed by a word of length q that its last letter may
+    precede, so length lo is reached by doubling: one join per binary digit
+    of lo, and one more for each digit 1.  Each longer length appends one
+    letter.  The number of words never falls as the length grows, and the
+    joins below lo at least double the length at every other step, so
+    together they copy at most four times the letters of length lo: no
+    prefix is copied once per length step.
+    """
+    if hi is None:
+        hi = lo
+    if not 0 <= lo <= hi:
+        raise ValueError("word lengths must satisfy 0 <= lo <= hi")
+    words = [()] if lo == 0 else []
+    if hi == 0:
+        return words
     succ = a.succ
-    words = [(i,) for i in range(a.n)]
-    for _ in range(m - 1):
-        words = [w + (j,) for w in words for j in succ[w[-1]]]
+    single = [[(i,)] for i in range(a.n)]
+    by_first = single
+    m = max(lo, 1)
+    for digit in bin(m)[3:]:
+        by_first = _join(by_first, by_first, succ)
+        if digit == "1":
+            by_first = _join(by_first, single, succ)
+    level = list(chain.from_iterable(by_first))
+    words += level
+    for _ in range(m, hi):
+        level = [w + (j,) for w in level for j in succ[w[-1]]]
+        words += level
     return words
 
 
@@ -218,7 +255,10 @@ def count_letters(a: ZeroOneMatrix, lo: int, hi: int, limit: int) -> int:
     words never falls as the length grows.  So at every m < hi the total is
     at least the letters counted so far plus count_words(a, m) * hi, and a
     length hi above ``limit`` passes it before any counting: the count takes
-    at most ``limit`` steps.
+    at most ``limit`` steps.  Once the row sums (the words of the current
+    length by first letter) repeat, every longer length has the same count,
+    and the rest of the total is summed in closed form; so a permutation
+    matrix, whose count never grows, takes one step.
     """
     if hi > limit:
         return hi
@@ -230,7 +270,11 @@ def count_letters(a: ZeroOneMatrix, lo: int, hi: int, limit: int) -> int:
         if m < hi:
             if total + c * hi > limit:
                 return total + c * hi
-            row_sums = [sum(row_sums[j] for j in succ) for succ in a.succ]
+            nxt = [sum(row_sums[j] for j in succ) for succ in a.succ]
+            if nxt == row_sums:
+                start = max(m + 1, lo)  # the lengths start..hi, each with c words
+                return total + c * (hi * (hi + 1) - start * (start - 1)) // 2
+            row_sums = nxt
     return total
 
 
@@ -248,13 +292,17 @@ def parse_matrix_json(text: str) -> ZeroOneMatrix:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:
+        # an integer literal past Python's limit on int-string conversion,
+        # raised before the int is built
+        raise MatrixFormatError(f"integer literal too long: {exc}") from exc
     except RecursionError as exc:
         raise MatrixFormatError("invalid JSON: nested too deeply") from exc
     if not isinstance(obj, dict) or set(obj) != {"n", "rows"}:
         raise MatrixFormatError('expected an object with exactly the keys "n" and "rows"')
     n, rows = obj["n"], obj["rows"]
     if not isinstance(n, int) or isinstance(n, bool):
-        raise MatrixFormatError(f'"n" must be an integer, got {n!r}')
+        raise MatrixFormatError(f'"n" must be an integer, got {_clip(repr(n))}')
     if not isinstance(rows, list) or len(rows) != n:
         raise MatrixFormatError('"n" must match the number of rows')
     if not all(isinstance(r, list) and len(r) == n for r in rows):
@@ -282,7 +330,7 @@ def parse_matrix_text(text: str) -> ZeroOneMatrix:
         if len(toks) != n:
             raise MatrixFormatError(f"expected {n} entries per row, got {len(toks)}")
         if not all(t in ("0", "1") for t in toks):
-            raise MatrixFormatError(f"non-0/1 token in row: {line.strip()!r}")
+            raise MatrixFormatError(f"non-0/1 token in row: {_clip(repr(line.strip()))}")
         rows.append([int(t) for t in toks])
     return validate_matrix(rows)
 

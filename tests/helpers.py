@@ -1,4 +1,5 @@
-"""Shared fixtures: matrix families, random generators, and the word-model oracle."""
+"""Shared fixtures: matrix families and random generators (the word-model
+oracle is in ``oracles``)."""
 
 from __future__ import annotations
 
@@ -6,7 +7,6 @@ import random
 from fractions import Fraction
 
 from ckdual import ckalg
-from ckdual.fock import ck_action_on_word, ck_compose_on_word
 from ckdual.sft import ZeroOneMatrix, enumerate_words, validate_matrix
 
 
@@ -143,55 +143,3 @@ def random_ck(rng: random.Random, tag: ckalg.AlgebraTag, max_terms: int = 3, max
         nu = random_word(rng, tag.matrix, max_len)
         x = x + ckalg.ck_monomial(tag, mu, nu, rng.choice(coeffs))
     return x
-
-
-def max_nu_len(x) -> int:
-    return max((len(nu) for ((_mu, nu),) in x.terms), default=0)
-
-
-def max_word_len(x) -> int:
-    return max((max(len(mu), len(nu)) for ((mu, nu),) in x.terms), default=0)
-
-
-def word_model_images_agree(x, y, length: int) -> bool:
-    """Word-model images of x and y agree on every column of the given length."""
-    a = x.factors[0].matrix
-    return all(
-        ck_action_on_word(x, w) == ck_action_on_word(y, w)
-        for w in enumerate_words(a, length)
-    )
-
-
-def oracle_confirms_equality_verdict(x, y, verdict: bool) -> bool:
-    """Double-entry check of a symbolic equality verdict against the word model.
-
-    A column no longer than the longest nu can still carry a vacuum
-    correction: s_2 s_3* is 0 in O_A for SPARSE3, yet maps xi_3 to xi_2.  So
-    the window starts one letter past the longest nu of either side.  There
-    elements equal in the algebra have identical word-model images, and
-    unequal elements must differ on some column of length at most 2D+1,
-    where D bounds the word lengths.
-    """
-    lo = max(max_nu_len(x), max_nu_len(y)) + 1
-    d = max(max_word_len(x), max_word_len(y), 1)
-    agree = all(word_model_images_agree(x, y, length) for length in range(lo, 2 * d + 2))
-    return agree == verdict
-
-
-def product_matches_composition(x, y, lengths=None) -> bool:
-    """Word-model check that the symbolic product x*y composes correctly.
-
-    Vacuum-sector corrections to composition live on columns of length at
-    most max_nu(x) + max_nu(y); beyond that the composed action of y then x
-    must match the action of the reduced product exactly.
-    """
-    a = x.factors[0].matrix
-    prod = ckalg.ck_multiply(x, y)
-    lo = max_nu_len(x) + max_nu_len(y) + 1
-    if lengths is None:
-        lengths = (lo, lo + 1)
-    for length in lengths:
-        for w in enumerate_words(a, length):
-            if ck_compose_on_word([x, y], w) != ck_action_on_word(prod, w):
-                return False
-    return True

@@ -28,19 +28,22 @@ from ckdual.ckalg import (
     w_range_projection,
     z_power,
 )
-from ckdual.fock import ck_action_on_word
 from ckdual.sft import enumerate_words
 
 from helpers import (
     CHORD3,
     FIB,
     all_valid_matrices,
-    max_nu_len,
     ones,
-    oracle_confirms_equality_verdict,
-    product_matches_composition,
     random_ck,
     relation_family,
+)
+from oracles import (
+    ck_action_on_word,
+    ck_compose_on_word,
+    max_nu_len,
+    oracle_confirms_equality_verdict,
+    product_matches_composition,
 )
 
 
@@ -157,8 +160,6 @@ def test_vacuum_corrections_bound_the_comparison_window():
     # instead leaves an extra |xi_2><xi_2| because the intermediate hits the
     # vacuum.  The discrepancy is confined to columns of length
     # <= max_nu(x) + max_nu(y), which is why the oracle window starts above it.
-    from ckdual.fock import ck_action_on_word, ck_compose_on_word
-
     x = ck_monomial(o_a(FIB), (1,), (1,))
     prod = ck_multiply(x, x)
     assert prod == ck_monomial(o_a(FIB), (1, 0), (1, 0))

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ckdual import cli, fock, sft
 from ckdual.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -206,6 +212,55 @@ def test_size_budget_rejects_from_the_count_alone(capsys, monkeypatch, tmp_path,
     letters = int(err.split("at least ")[1].split()[0])
     assert cli.LETTER_BUDGET < letters <= exact
     assert f"budget of {cli.LETTER_BUDGET}" in err
+
+
+# subprocess runs of inputs the letter budget admits but whose enumeration
+# once grew faster than its output: the words of [[1]] up to length 4,000
+# (8,002,000 letters; a basis built one length at a time took cubic time)
+# and the 3,001 words of [[1, 1], [0, 1]] at length 3,000 (every prefix
+# copied once per length step, 133 s)
+@pytest.mark.parametrize(
+    "rows, argv",
+    [
+        ([[1]], ["fock-verify", "--max-length", "4000"]),
+        ([[1, 1], [0, 1]], ["words", "--length", "3000"]),
+    ],
+    ids=["fock-verify-4000", "words-3000"],
+)
+def test_enumeration_admitted_by_the_budget_finishes(tmp_path, rows, argv):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({"n": len(rows), "rows": rows}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ckdual.cli", argv[0], "--matrix", str(p), *argv[1:]],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if argv[0] == "words":
+        assert proc.stdout.count("\n") == 3001
+    else:
+        assert proc.stdout.splitlines() == ["i(k=1): ok", "ii(k=1): ok", "iii(k=1,l=1): ok",
+                                            "iv(k=1,l=1): ok"]
+
+
+# Inputs that once ended in a traceback (exit 3: Python's limit on
+# int-string conversion) or echoed the whole offending row.
+LONG_INPUTS = {
+    "json-n": '{"n": 1' + "0" * 5000 + ', "rows": [[1]]}',
+    "json-entry": '{"n": 1, "rows": [[1' + "0" * 5000 + "]]}",
+    "text-row": "1" * 5000 + "\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_INPUTS))
+def test_long_literal_or_row_exits_2_with_a_short_message(capsys, tmp_path, name):
+    p = tmp_path / "m"
+    p.write_text(LONG_INPUTS[name])
+    code, out, err = run(capsys, "validate", "--matrix", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err) < 200
 
 
 def test_max_length_validation(capsys, fib_file):

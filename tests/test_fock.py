@@ -8,25 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckdual import ckalg
+from ckdual import ckalg, fock
 from ckdual.fock import (
     FockBasis,
     FockOperator,
     RelationDefect,
     build_creation,
-    ck_action_on_word,
     commutator,
     creation_relations,
     identity,
-    orbit_spans,
-    pair_action_on_word,
     rotation_operator,
     vacuum_projection,
     verify_creation_relations,
     verify_relation,
     zero,
 )
-from ckdual.sft import is_admissible, word_str
+from ckdual.sft import enumerate_words, is_admissible, word_str
 
 from helpers import (
     CHORD3,
@@ -37,6 +34,7 @@ from helpers import (
     random_valid_matrix,
     relation_family,
 )
+from oracles import ck_action_on_word, orbit_spans, pair_action_on_word
 
 
 def basis(a, m=5):
@@ -50,6 +48,36 @@ def test_basis_order_and_index():
     lengths = [len(w) for w in b.words]
     assert lengths == sorted(lengths)
     assert all(b.index[w] == i for i, w in enumerate(b.words))
+
+
+def test_basis_enumerates_its_words_in_one_call(monkeypatch):
+    # one call for all lengths 0..m_max: a call per length would rebuild every
+    # shorter length each time
+    calls = []
+    enumerate_words = fock.enumerate_words
+
+    def spy(*args):
+        calls.append(args[1:])
+        return enumerate_words(*args)
+
+    monkeypatch.setattr(fock, "enumerate_words", spy)
+    for a in (FIB, ones(3)):
+        calls.clear()
+        FockBasis(a, 6)
+        assert calls == [(0, 6)]
+
+
+def test_basis_words_and_sectors_are_the_per_length_lists():
+    for a in relation_family():
+        for m_max in (1, 2, 5):
+            b = FockBasis(a, m_max)
+            words, bounds = [], []
+            for m in range(m_max + 1):
+                start = len(words)
+                words += enumerate_words(a, m)
+                bounds.append((start, len(words)))
+            assert b.words == words
+            assert b.sector_bounds == bounds
 
 
 def test_creation_vacuum_rule():

@@ -7,14 +7,20 @@ from hypothesis import strategies as st
 
 from ckdual import ktheory, zlinalg
 from ckdual.ktheory import (
-    bowen_franks,
     duality_report,
     k_groups,
     one_minus,
     report_json,
 )
 from ckdual.sft import validate_matrix
-from ckdual.zlinalg import FGAbelianGroup, IntMatrix, determinant, kernel_basis, smith_normal_form
+from ckdual.zlinalg import (
+    FGAbelianGroup,
+    IntMatrix,
+    cokernel,
+    determinant,
+    kernel_basis,
+    smith_normal_form,
+)
 
 from helpers import (
     FIB,
@@ -76,10 +82,11 @@ def test_higher_block_conjugacy_invariance():
 
 
 def test_bowen_franks():
-    assert bowen_franks(ones(2)).is_trivial()  # det(1 - A) = -1
-    assert bowen_franks(ones(3)) == FGAbelianGroup(0, (2,))
+    # the Bowen-Franks group coker(1 - A)
+    assert cokernel(one_minus(ones(2))).is_trivial()  # det(1 - A) = -1
+    assert cokernel(one_minus(ones(3))) == FGAbelianGroup(0, (2,))
     # defined for every valid matrix, including ones the Cantor check rejects
-    assert bowen_franks(SWAP) == FGAbelianGroup(1, ())
+    assert cokernel(one_minus(SWAP)) == FGAbelianGroup(1, ())
 
 
 def test_duality_presentations_and_abstract_iso():
@@ -127,6 +134,13 @@ def test_presenting_matrices():
     for a in _presentation_family():
         dense = [[int(i == j) - a.entry(i, j) for j in range(a.n)] for i in range(a.n)]
         assert one_minus(a) == IntMatrix.from_rows(dense)
+
+
+def test_one_minus_of_the_transpose_is_the_transpose():
+    # the presentation flags of the duality report are this identity: 1 - A^T
+    # read off the transposed matrix is the transpose that the report reads
+    for a in _presentation_family():
+        assert one_minus(a.transpose()) == one_minus(a).transpose()
 
 
 def test_o_at_is_o_a_of_the_transpose():

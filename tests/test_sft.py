@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ckdual.sft import (
@@ -143,6 +145,48 @@ def test_count_letters_matches_word_counts_and_stops_past_the_limit():
                 got = count_letters(a, lo, hi, limit)
                 # exact up to the limit; past it, a lower bound that passes it
                 assert got == exact if exact <= limit else limit < got <= exact
+
+
+def _words_step_by_step(a, m):
+    """The admissible words of length m, one letter appended per step."""
+    if m == 0:
+        return [()]
+    words = [(i,) for i in range(a.n)]
+    for _ in range(m - 1):
+        words = [w + (j,) for w in words for j in range(a.n) if a.entry(w[-1], j)]
+    return words
+
+
+def test_enumeration_matches_step_by_step_reference_on_all_3x3():
+    for a in all_valid_matrices(3):
+        ref = [_words_step_by_step(a, m) for m in range(9)]
+        for m in range(9):
+            assert enumerate_words(a, m) == ref[m], (a.rows, m)
+        for lo, hi in [(0, 8), (1, 1), (2, 7), (5, 8)]:
+            assert enumerate_words(a, lo, hi) == [w for m in range(lo, hi + 1) for w in ref[m]]
+
+
+def test_enumerate_words_rejects_a_bad_range():
+    for lo, hi in [(-1, 2), (3, 2)]:
+        with pytest.raises(ValueError, match="0 <= lo <= hi"):
+            enumerate_words(FIB, lo, hi)
+
+
+def test_count_letters_is_exact_at_once_when_the_count_stops_growing():
+    # the row sums of a permutation matrix never change, so the total is summed
+    # in closed form; one step per length took 18 s on [[1]] at 2^24
+    one, budget = validate_matrix([[1]]), 1 << 24
+    cases = [
+        (one, budget, budget, budget),
+        (one, 0, 5792, sum(range(5793))),
+        (SWAP, budget // 2, budget // 2, budget),
+        (SWAP, budget, budget, 2 * budget),
+        (IDENT2, 3, budget // 4, 2 * sum(range(3, budget // 4 + 1))),
+    ]
+    start = time.perf_counter()
+    for a, lo, hi, exact in cases:
+        assert count_letters(a, lo, hi, budget) == exact
+    assert time.perf_counter() - start < 1.0
 
 
 def test_count_letters_rejects_a_length_over_the_limit_without_counting():
