@@ -55,11 +55,11 @@ class MatrixFormatError(ValueError):
 
 Word = tuple  # tuple of 0-based letters
 
-ECHO_WIDTH = 40  # most characters of an offending input that a message repeats
+_ECHO_WIDTH = 40  # most characters of an offending input that a message repeats
 
 
 def _clip(text: str) -> str:
-    return text if len(text) <= ECHO_WIDTH else text[:ECHO_WIDTH] + f"... ({len(text)} characters)"
+    return text if len(text) <= _ECHO_WIDTH else text[:_ECHO_WIDTH] + f"... ({len(text)} characters)"
 
 
 @dataclass(frozen=True)

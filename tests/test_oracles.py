@@ -26,8 +26,8 @@ def _ckalg_names(tree) -> set:
                     names.add(alias.asname or alias.name)
         elif isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.startswith("ckdual"):
-                    names.add((alias.asname or alias.name).split(".")[0])
+                if alias.name in ("ckdual", "ckdual.ckalg"):
+                    names.add(alias.asname or "ckdual")
     return names
 
 
