@@ -107,14 +107,15 @@ def cmd_ktheory(args) -> int:
     if args.json:
         _emit_json(ktheory.report_json(a, include_duality=args.duality))
         return EXIT_OK
-    rep = ktheory.k_groups(a)
+    pair = ktheory.presentation_pair(a)
+    rep = ktheory.k_groups(a, pair)
     for name, alg in (("O_A", rep.o_a), ("O_AT", rep.o_at)):
         print(f"K0({name})  = {alg.k0}")
         print(f"K1({name})  = {alg.k1}")
         print(f"K^0({name}) = {alg.khom0}")
         print(f"K^1({name}) = {alg.khom1}")
     if args.duality:
-        _print_duality(ktheory.duality_report(a))
+        _print_duality(ktheory.duality_report(a, pair))
     return EXIT_OK
 
 

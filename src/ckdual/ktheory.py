@@ -7,20 +7,31 @@ integer matrices 1 - A^T and 1 - A:
     K^0(O_A)  = ker(1 - A)               K^1(O_A)  = Z^n / (1 - A) Z^n
 
 and the groups of O_{A^T} are these four with 1 - A and 1 - A^T swapped, so
-``k_groups`` reads both algebras off one pair: 1 - A, built once from
-``succ``, and its ``IntMatrix`` transpose.  The duality report reads the same
-pair.  K_0(O_A) and K^1(O_{A^T}) are presented by the one matrix 1 - A^T
-(likewise K_1(O_A) and K^0(O_{A^T}) share its kernel), so the report states
-those matches as identities.  coker(1 - A) and coker(1 - A^T) are only
-abstractly isomorphic - equal invariant factors, no preferred map - so the
-report compares their Smith forms and never identifies them entrywise.
+``k_groups`` reads both algebras off one pair.  That pair is 1 - B and its
+``IntMatrix`` transpose, where B is the amalgamation of A (``_amalgamate``):
+states with equal columns or equal rows merged until none are equal.  The
+merges are conjugacies that keep coker(1 - A), coker(1 - A^T) and
+det(1 - A); each matrix is square, so the free rank of each cokernel is the
+rank of the matching kernel, and those are kept too.  A higher-block
+presentation A^[N] amalgamates back to the size of A (MIXED4^[5]: 172
+states to 4), and a matrix with no two equal rows and no two equal columns
+is its own amalgamation, B = A.  ``presentation_pair`` builds the pair,
+and a report builds it once and hands it to ``k_groups`` and
+``duality_report``.  K_0(O_A) and K^1(O_{A^T}) are presented by the one
+matrix 1 - B^T (likewise K_1(O_A) and K^0(O_{A^T}) share its kernel), so
+the report states those matches as identities.  coker(1 - A) and
+coker(1 - A^T) are only abstractly isomorphic - equal invariant factors, no
+preferred map - so the report compares their Smith forms and never
+identifies them entrywise.
 
 A ``ktheory --duality`` report asks for a Smith form ten times (four per
-algebra in ``k_groups``, two in ``duality_report``) but of only two
-matrices, 1 - A and 1 - A^T; the two-entry memo on ``smith_normal_form``
-makes that two eliminations, both transform-free.  Only ``kernel_basis``
-reads a transform (V, at the zero diagonal entries), so the transforms of
-a presentation are built, once, only when it is singular: det(1 - A) = 0.
+algebra in ``k_groups``, two in ``duality_report``; six through
+``cokernel`` and four through ``kernel_basis``) but of only the two
+matrices of the amalgamated pair, 1 - B and 1 - B^T; the two-entry memo on
+``smith_normal_form`` makes that two eliminations, both transform-free.
+Only ``kernel_basis`` reads a transform (V, at the zero diagonal entries),
+so the transforms of a presentation are built, once, only when it is
+singular: det(1 - A) = 0.
 """
 
 from __future__ import annotations
@@ -42,6 +53,142 @@ def one_minus(a: ZeroOneMatrix) -> IntMatrix:
             row[j] -= 1
         rows.append(tuple(row))
     return IntMatrix(n, n, tuple(rows))
+
+
+def _one_minus_multigraph(b: list) -> IntMatrix:
+    """1 - B for the multigraph B whose row i is ``{j: multiplicity}``."""
+    n = len(b)
+    rows = []
+    for i, succ in enumerate(b):
+        row = [0] * n
+        row[i] = 1
+        for j, m in succ.items():
+            row[j] -= m
+        rows.append(tuple(row))
+    return IntMatrix(n, n, tuple(rows))
+
+
+def _merge_equal_columns(rows: dict, keys) -> dict | None:
+    """One out-amalgamation pass: the rows of the merged multigraph, or None.
+
+    ``rows`` maps each state to its row ``{j: multiplicity}`` and ``keys``
+    gives (state, hashable column) once per state; equal keys must mean
+    equal columns, multiplicities included.  Each group of equal columns
+    merges into its first state, which takes the sum of the group's rows;
+    the other rows and columns of the group are deleted.  None when no two
+    columns are equal.
+    """
+    groups = {}
+    for j, key in keys:
+        groups.setdefault(key, []).append(j)
+    if len(groups) == len(rows):
+        return None
+    kept = {g[0] for g in groups.values()}
+    merged = {}
+    for first, *rest in groups.values():
+        row = {j: m for j, m in rows[first].items() if j in kept}
+        for i in rest:
+            for j, m in rows[i].items():
+                if j in kept:
+                    row[j] = row.get(j, 0) + m
+        merged[first] = row
+    return merged
+
+
+def _transpose(rows: dict) -> dict:
+    cols = {j: {} for j in rows}
+    for i, row in rows.items():
+        for j, m in row.items():
+            cols[j][i] = m
+    return cols
+
+
+def _amalgamate(succ: tuple, pred: tuple) -> list:
+    """The rows ``{j: multiplicity}`` of B, the amalgamation of the 0/1
+    matrix A with the given ``succ`` and ``pred``, relabelled 0..m-1.
+
+    Each pass merges every group of equal columns (``_merge_equal_columns``),
+    then every group of equal rows, as equal columns of the transpose; the
+    passes repeat until one merges nothing.  The first pass hashes the
+    ``pred`` tuples themselves: for a 0/1 matrix they are the columns.  Later
+    passes hash each column's (state, multiplicity) pairs, because merged
+    rows are sums and entries may exceed 1.
+
+    B keeps the three invariants the K-theory reads:
+
+        coker(1 - B) = coker(1 - A),  coker(1 - B^T) = coker(1 - A^T),
+        det(1 - B) = det(1 - A),
+
+    the cokernels up to isomorphism.  Proof, for one merge.  Let A be an
+    n x n integer matrix whose columns i and j are equal, i != j; nothing
+    below uses that entries are 0 or 1, so it holds at every multiplicity.
+    Let A' be A with row j added to row i and with row and column j
+    deleted, which is what the merge builds.  Take T = 1 - e_i e_j^T,
+    unimodular with inverse 1 + e_i e_j^T.  As A e_j = A e_i, AT is A with
+    column j zeroed, and C = T^-1 A T is AT with row j added to row i.  With
+    state j listed last,
+
+        C = [[A', 0], [r, 0]],    1 - C = [[1 - A', 0], [-r, 1]],
+
+    where r is row j of A without its entry j.  Now 1 - C = T^-1 (1 - A) T
+    and 1 - C^T = T^T (1 - A^T) T^-T are unimodular equivalences, so
+    coker(1 - A) = coker(1 - C), coker(1 - A^T) = coker(1 - C^T) and
+    det(1 - A) = det(1 - C).  Adding r_k times the last column of 1 - C to
+    its column k clears -r, and the same steps as row operations clear -r^T
+    from 1 - C^T = [[1 - A'^T, -r^T], [0, 1]].  So 1 - C is equivalent to
+    diag(1 - A', 1) and 1 - C^T to diag(1 - A'^T, 1), which gives
+    coker(1 - C) = coker(1 - A'), coker(1 - C^T) = coker(1 - A'^T) and
+    det(1 - C) = det(1 - A').  Hence:
+
+    - Merging equal columns is an out-amalgamation.  States i and j have
+      the same predecessors, with multiplicity, and the merged state takes
+      the out-edges of both: the inverse of out-splitting a state into two
+      copies that share its in-edges (Williams 1973, Ann. of Math. 98; Lind
+      & Marcus 1995, section 2.4).  It keeps all three invariants, by the
+      proof above.
+    - Merging equal rows is its transpose, an in-amalgamation.  Rows i and
+      j of A are columns of A^T, and the merge of A^T above transposes to A
+      with column j added to column i and row and column j deleted.  Applied
+      to A^T, the proof keeps coker(1 - A^T), coker(1 - A) and
+      det(1 - A^T) = det(1 - A).
+    - A whole group merges at once.  Merging j into i changes only row i,
+      by adding row j, and two columns k, l that were equal have equal
+      entries in row j, so they stay equal; the same holds for the groups
+      of other keys.  So one pass is a sequence of single merges, and the
+      invariants hold after every pass, at every multiplicity.
+    """
+    rows = {i: dict.fromkeys(s, 1) for i, s in enumerate(succ)}
+    keys = enumerate(pred)
+    transposed, idle = False, 0
+    while idle < 2:  # a column half and a row half that merged nothing
+        merged = _merge_equal_columns(rows, keys)
+        if merged is None:
+            merged, idle = rows, idle + 1
+        else:
+            idle = 0
+        # the next half merges the equal rows of ``merged``: the equal
+        # columns of its transpose
+        keys = [(i, frozenset(row.items())) for i, row in merged.items()]
+        rows, transposed = _transpose(merged), not transposed
+    if transposed:
+        rows = _transpose(rows)
+    index = {s: k for k, s in enumerate(rows)}
+    return [{index[j]: m for j, m in row.items()} for row in rows.values()]
+
+
+def presentation_pair(a: ZeroOneMatrix) -> tuple:
+    """(1 - B, 1 - B^T) for the amalgamation B of A (``_amalgamate``).
+
+    An input with no two equal ``succ`` tuples and no two equal ``pred``
+    tuples has no equal rows or columns and is presented by ``one_minus``
+    itself; only an input that merges pays for the multigraph passes.
+    """
+    succ, pred = a.succ, a.pred
+    if len(set(succ)) == len(set(pred)) == a.n:
+        pres = one_minus(a)
+    else:
+        pres = _one_minus_multigraph(_amalgamate(succ, pred))
+    return pres, pres.transpose()
 
 
 @dataclass(frozen=True)
@@ -104,33 +251,37 @@ def _algebra_groups(pres_t: IntMatrix, pres: IntMatrix) -> AlgebraKTheory:
     )
 
 
-def k_groups(a: ZeroOneMatrix) -> KTheoryReport:
-    """All eight K/K-homology groups of O_A and O_{A^T}, from one pair."""
-    pres = one_minus(a)
-    pres_t = pres.transpose()
+def k_groups(a: ZeroOneMatrix, pair: tuple | None = None) -> KTheoryReport:
+    """All eight K/K-homology groups of O_A and O_{A^T}, from one pair.
+
+    ``pair`` is ``presentation_pair(a)``, built here unless the caller
+    already holds it.
+    """
+    pres, pres_t = presentation_pair(a) if pair is None else pair
     return KTheoryReport(matrix=a, o_a=_algebra_groups(pres_t, pres),
                          o_at=_algebra_groups(pres, pres_t))
 
 
-def duality_report(a: ZeroOneMatrix) -> DualityReport:
+def duality_report(a: ZeroOneMatrix, pair: tuple | None = None) -> DualityReport:
     """The duality identities of the presentation pair, and the cokernels compared.
 
-    The report reads the pair that ``k_groups`` reads: 1 - A from ``succ``
-    and 1 - A^T as its ``IntMatrix`` transpose.  K_0(O_A) and K^1(O_{A^T})
-    are both quotients by 1 - A^T, and K_1(O_A) and K^0(O_{A^T}) are both
-    kernels of it, because ``k_groups`` reads them off that one matrix.  So
-    the two ``presentation_match_*`` flags are identities, true for every
-    matrix, and the report states them rather than compares anything.
-    ``abstract_iso_cokernels`` compares the two Smith forms computed here,
-    but it is a theorem as well: a matrix and its transpose have the same
-    invariant factors.  So ``ckdual duality`` cannot exit 1.  The
-    independent checks of the Smith form are its transform postconditions
-    and the invariance of K-theory under conjugacy (higher-block
-    presentations).
+    The report reads the pair that ``k_groups`` reads, ``presentation_pair(a)``
+    (passed in as ``pair`` when the caller already holds it): 1 - B for the
+    amalgamation B of A, and 1 - B^T as its ``IntMatrix`` transpose.
+    K_0(O_A) and K^1(O_{A^T}) are both quotients by 1 - B^T, and K_1(O_A)
+    and K^0(O_{A^T}) are both kernels of it, because ``k_groups`` reads them
+    off that one matrix.  So the two ``presentation_match_*`` flags are
+    identities, true for every matrix, and the report states them rather
+    than compares anything.  ``abstract_iso_cokernels`` compares the two
+    Smith forms computed here, but it is a theorem as well: a matrix and its
+    transpose have the same invariant factors.  So ``ckdual duality`` cannot
+    exit 1.  The independent checks of the Smith form are its transform
+    postconditions and the invariance of K-theory under conjugacy
+    (higher-block presentations).
     """
-    pres = one_minus(a)
+    pres, pres_t = presentation_pair(a) if pair is None else pair
     coker_a = cokernel(pres)
-    coker_at = cokernel(pres.transpose())
+    coker_at = cokernel(pres_t)
     return DualityReport(
         abstract_iso_cokernels=(
             coker_a.free_rank == coker_at.free_rank and coker_a.torsion == coker_at.torsion
@@ -141,7 +292,9 @@ def duality_report(a: ZeroOneMatrix) -> DualityReport:
 
 
 def report_json(a: ZeroOneMatrix, include_duality: bool = False) -> dict:
-    out = k_groups(a).to_json()
+    """The ``ktheory --json`` report; the matrix it echoes is A, not B."""
+    pair = presentation_pair(a)
+    out = k_groups(a, pair).to_json()
     if include_duality:
-        out["duality"] = duality_report(a).to_json()
+        out["duality"] = duality_report(a, pair).to_json()
     return out

@@ -9,7 +9,7 @@ lives here.
 Every layer reads adjacency through the two cached views of
 ``ZeroOneMatrix``: ``succ[i]``, the letters that may follow i, and
 ``pred[j]``, the letters that j may follow, both ascending; 1 - A reads
-``succ`` too.  ``rows`` and ``entry`` serve only single-edge tests and the
+``succ`` too, and its amalgamation both.  ``rows`` and ``entry`` serve only single-edge tests and the
 matrix echo; only this module knows how the rows are stored.
 
 Letters are 0-based in all in-memory words and 1-based in every rendered
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from math import gcd
 
 
@@ -77,12 +77,18 @@ class ZeroOneMatrix:
     @cached_property
     def succ(self) -> tuple:
         """succ[i]: the letters that may follow i, in ascending order."""
-        return tuple(tuple(j for j, e in enumerate(r) if e) for r in self.rows)
+        letters = range(self.n)
+        return tuple(tuple(compress(letters, r)) for r in self.rows)
 
     @cached_property
     def pred(self) -> tuple:
         """pred[j]: the letters that j may follow, in ascending order."""
-        return self.transpose().succ
+        # read off succ in O(edges), not off the n x n transpose
+        pred = [[] for _ in range(self.n)]
+        for i, succ in enumerate(self.succ):
+            for j in succ:
+                pred[j].append(i)
+        return tuple(map(tuple, pred))
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
@@ -105,7 +111,7 @@ def validate_matrix(raw) -> ZeroOneMatrix:
     Rejects non-square input, entries outside {0, 1}, and any all-zero row or
     column (indices in errors are 1-based).
     """
-    rows = [list(r) for r in raw]
+    rows = tuple(map(tuple, raw))
     n = len(rows)
     if n == 0:
         raise NotSquareError("matrix is empty")
@@ -119,10 +125,11 @@ def validate_matrix(raw) -> ZeroOneMatrix:
     for i, r in enumerate(rows):
         if not any(r):
             raise ZeroRowError(i + 1)
-    for j in range(n):
-        if not any(r[j] for r in rows):
+    # every row has n entries, so zip yields the n columns
+    for j, col in enumerate(zip(*rows)):
+        if not any(col):
             raise ZeroColumnError(j + 1)
-    return ZeroOneMatrix(n, tuple(tuple(r) for r in rows))
+    return ZeroOneMatrix(n, rows)
 
 
 def _reachable(succ, start: int) -> set:

@@ -324,13 +324,15 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     a transform.
 
     Memoised on the matrix's value, for the two most recent matrices.  A
-    K-theory report factors only 1 - A and 1 - A^T, but asks for them ten
-    times through ``cokernel`` and ``kernel_basis`` (four per algebra in
-    ``k_groups`` and two in ``duality_report``), so two entries turn ten
-    eliminations into two.  Every caller of the same matrix gets the same
-    ``SmithForm`` object, transforms included once built; it and its
-    ``IntMatrix`` fields are frozen and hold only tuples, so sharing it is
-    safe.  ``smith_normal_form.__wrapped__`` runs a fresh elimination.
+    K-theory report factors only the amalgamated pair 1 - B and 1 - B^T
+    (``ktheory.presentation_pair``; B = A when no two rows or columns of A
+    are equal), but asks for them ten times through ``cokernel`` and
+    ``kernel_basis`` (four per algebra in ``k_groups`` and two in
+    ``duality_report``), so two entries turn ten eliminations into two.
+    Every caller of the same matrix gets the same ``SmithForm`` object,
+    transforms included once built; it and its ``IntMatrix`` fields are
+    frozen and hold only tuples, so sharing it is safe.
+    ``smith_normal_form.__wrapped__`` runs a fresh elimination.
     """
     s, _, _ = _eliminate(m, False)
     return SmithForm(m, s)

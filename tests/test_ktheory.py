@@ -205,10 +205,11 @@ def test_memo_alternating_reports_match_fresh_eliminations(monkeypatch):
 
 
 @pytest.mark.parametrize("a, presentations, singular", [
-    (higher_block(FIB, 6), 2, False),
+    # no two equal rows or columns, so B = A, and 1 - A is not symmetric
+    (MIXED4, 2, False),
     (SWAP, 1, True),  # 1 - A is symmetric, so 1 - A^T is the same matrix
     (validate_matrix([[1, 1], [0, 1]]), 2, True),
-], ids=["FIB^[6]", "2-cycle", "upper-triangular"])
+], ids=["MIXED4", "2-cycle", "upper-triangular"])
 def test_transforms_built_once_per_singular_presentation(monkeypatch, a, presentations, singular):
     # only kernel_basis reads V, and only at a zero diagonal entry; the memoised
     # form keeps the transforms once built, so its repeated calls do not redo them
@@ -234,10 +235,14 @@ def test_transforms_built_once_per_singular_presentation(monkeypatch, a, present
 
 def test_k_groups_reads_each_group_from_its_presentation(monkeypatch):
     # coker(1 - A) and coker(1 - A^T) are isomorphic, so the report cannot show
-    # which one a group was read from; the spies answer with distinct ranks
+    # which one a group was read from; the spies answer with distinct ranks.
+    # k_groups reads the amalgamated pair (1 - B, 1 - B^T), so the spies key
+    # on it; test_amalgamate checks that 1 - B presents what 1 - A does.
     a = higher_block(MIXED4, 2)
-    pres, pres_t = one_minus(a), one_minus(a.transpose())
+    pres, pres_t = ktheory.presentation_pair(a)
     assert pres != pres_t
+    assert pres.rows < a.n
+    assert pres_t == pres.transpose()
     # (cokernel rank, kernel rank) answered for each presenting matrix
     ranks = {pres.entries: (1, 3), pres_t.entries: (2, 4)}
     monkeypatch.setattr(ktheory, "cokernel", lambda m: FGAbelianGroup(ranks[m.entries][0], ()))
