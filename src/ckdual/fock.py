@@ -20,6 +20,10 @@ length <= ``valid_up_to = m_max - raise_len`` leaves the window, so those
 columns are exact (``adj_valid = m_max - lower_len`` does the same for the
 adjoint; both are clamped at -1).  Relation checks compare two operators on
 the intersection of their valid domains and report exact defect columns.
+A creation relation is checked as ``lhs Q = rhs Q``, where Q projects onto
+the words of the relation's exact domain.  Q sits on the rightmost factor of
+every product (``x @ y.upto(d) == (x @ y).upto(d)``), so no product, sum or
+range projection builds a column the check does not read.
 
 Storage.  Every operator ckdual builds (the creation operators, their
 adjoints, the range projections, their products, and the sums in the
@@ -54,7 +58,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import itemgetter
 
 from .sft import ZeroOneMatrix, enumerate_words, word_str
@@ -71,6 +75,16 @@ class FockBasis:
         self.words = enumerate_words(matrix, 0, m_max)
         ends = [bisect_right(self.words, m, key=len) for m in range(m_max + 1)]
         self.sector_bounds = list(zip([0] + ends, ends))  # (start, end) per word length
+
+    @cached_property
+    def first_letters(self) -> list:
+        """The first letter of each word 1, 2, ... (the vacuum has none)."""
+        return list(map(itemgetter(0), islice(self.words, 1, None)))
+
+    @cached_property
+    def last_letters(self) -> list:
+        """The last letter of each word 1, 2, ..."""
+        return list(map(itemgetter(-1), islice(self.words, 1, None)))
 
     @cached_property
     def index(self) -> dict:
@@ -178,6 +192,15 @@ class FockOperator:
         return FockOperator(self.basis, tgt, coef, self.raise_len + other.raise_len,
                             self.lower_len + other.lower_len)
 
+    def upto(self, m: int) -> "FockOperator":
+        """This operator times the projection onto the words of length <= m:
+        the columns past ``basis.end_of_length(m)`` dropped and the bounds
+        kept, so ``x @ y.upto(m) == (x @ y).upto(m)``."""
+        end = self.basis.end_of_length(m)
+        tgt = {j: i for j, i in self.tgt.items() if j < end}
+        coef = {j: v for j, v in self.coef.items() if j < end}
+        return FockOperator(self.basis, tgt, coef, self.raise_len, self.lower_len)
+
     def adjoint(self) -> "FockOperator":
         """The transpose: the inverse partial map, defined when ``tgt`` is injective."""
         src = self.tgt
@@ -230,11 +253,10 @@ def build_creation(basis: FockBasis, side: str, k: int) -> FockOperator:
         raise ValueError(f"letter {k} out of range 1..{a.n}")
     k0 = k - 1
     if side == "left":
-        end, fits = itemgetter(0), frozenset(a.succ[k0])
+        letters, fits = basis.first_letters, frozenset(a.succ[k0])
     else:
-        end, fits = itemgetter(-1), frozenset(a.pred[k0])
+        letters, fits = basis.last_letters, frozenset(a.pred[k0])
     is_k = [c == k0 for c in range(a.n)]
-    letters = list(map(end, basis.words[1:]))  # of the words 1, 2, ...
     sources = chain((0,), compress(range(1, basis.end_of_length(basis.m_max - 1)),
                                    map(fits.__contains__, letters)))
     targets = compress(range(1, basis.size), map(is_k.__getitem__, letters))
@@ -301,6 +323,13 @@ def verify_relation(relation: str, lhs: FockOperator, rhs: FockOperator) -> Rela
     return RelationReport(relation, not defects, valid, tuple(defects))
 
 
+def _domain(basis: FockBasis, *families) -> int:
+    """The widest exact domain of a product with one factor from each family:
+    m_max minus each family's smallest ``raise_len``.  A shared right factor
+    compressed to it keeps every column that a check of such a product reads."""
+    return basis.m_max - sum(min(x.raise_len for x in xs) for xs in families)
+
+
 def creation_relations(basis: FockBasis, which: str = "all"):
     """The four families of creation-operator relations, yielded as
     (label, lhs, rhs) one at a time, so a caller that checks each relation
@@ -311,35 +340,46 @@ def creation_relations(basis: FockBasis, which: str = "all"):
     iii) [L_k, R_l] = 0
     iv)  [L_k*, R_l] = delta_kl P
 
-    Each adjoint L_k*, R_k* and each range projection L_i L_i*, R_i R_i* is
-    built once and shared by every relation that uses it.
+    Each family is built on its checked domain only (module docstring): the
+    right factors L_i*, R_i* of the range projections, L_k and R_l in iii
+    and L_k* in R_l L_k* are compressed once per family with ``upto``.  The
+    other right factors, L_k, R_k and R_l, are creation operators, whose
+    columns already end at that domain.  L_k* is built once for i and iv;
+    R_k* and each family's range projections are dropped with the family.
     """
     a = basis.matrix
     n = a.n
     ls = [build_creation(basis, "left", k) for k in range(1, n + 1)]
     rs = [build_creation(basis, "right", k) for k in range(1, n + 1)]
     ls_star = [x.adjoint() for x in ls] if which in ("all", "i", "iv") else []
-    rs_star = [x.adjoint() for x in rs] if which in ("all", "ii") else []
     p = vacuum_projection(basis)
     # i) sums over the successors i of k, ii) over its predecessors
-    for label, xs, xs_star, adjacent in (("i", ls, ls_star, a.succ), ("ii", rs, rs_star, a.pred)):
+    for label, xs, adjacent in (("i", ls, a.succ), ("ii", rs, a.pred)):
         if which not in ("all", label):
             continue
-        ranges = [x @ x_star for x, x_star in zip(xs, xs_star)]
+        xs_star = ls_star if label == "i" else [x.adjoint() for x in rs]
+        d = _domain(basis, xs, xs_star)
+        ranges = [x @ x_star.upto(d) for x, x_star in zip(xs, xs_star)]
         for k in range(n):
             rhs = p
             for i in adjacent[k]:
                 rhs = rhs + ranges[i]
             yield f"{label}(k={k + 1})", xs_star[k] @ xs[k], rhs
+        del xs_star, ranges, rhs
     if which in ("all", "iii"):
+        d = _domain(basis, ls, rs)
+        ls_d, rs_d = [x.upto(d) for x in ls], [y.upto(d) for y in rs]
         for k in range(n):
             for l in range(n):
-                yield f"iii(k={k + 1},l={l + 1})", commutator(ls[k], rs[l]), zero(basis)
+                yield f"iii(k={k + 1},l={l + 1})", ls[k] @ rs_d[l] - rs[l] @ ls_d[k], zero(basis)
+        del ls_d, rs_d
     if which in ("all", "iv"):
+        d = _domain(basis, ls_star, rs)
+        ls_star_d = [x.upto(d) for x in ls_star]
         for k in range(n):
             for l in range(n):
                 rhs = p if k == l else zero(basis)
-                yield f"iv(k={k + 1},l={l + 1})", commutator(ls_star[k], rs[l]), rhs
+                yield f"iv(k={k + 1},l={l + 1})", ls_star[k] @ rs[l] - rs[l] @ ls_star_d[k], rhs
 
 
 def verify_creation_relations(basis: FockBasis, which: str = "all"):
@@ -404,18 +444,12 @@ def rotation_operator(basis: FockBasis):
     x = zero(basis)
     for k in range(1, n + 1):
         x = x + build_creation(basis, "left", k).adjoint() @ build_creation(basis, "right", k)
-    vacuum = x.column(0).get(0, 0)
+    tgt = x.tgt
+    vacuum = x.coef[0] if tgt.get(0) == 0 else 0
     sectors = []
     for m in range(1, x.valid_up_to + 1):
-        idxs = list(basis.sector(m))
+        idxs = basis.sector(m)
+        rows = [tgt[j] for j in idxs if j in tgt]  # one per nonzero column
         dim = len(idxs)
-        hit_rows = set()
-        ker = 0
-        for j in idxs:
-            col = x.column(j)
-            if not col:
-                ker += 1
-            else:
-                hit_rows.update(col)
-        sectors.append(SectorIndex(m, dim, ker, dim - len(hit_rows)))
+        sectors.append(SectorIndex(m, dim, dim - len(rows), dim - len(set(rows))))
     return x, IndexReport(tuple(sectors), vacuum, n)

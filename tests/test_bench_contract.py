@@ -66,7 +66,17 @@ FAMILIES = {
 # (4) and two per commutator in iii and iv (16).  pairing adds L_k* and
 # L_k* R_k for each k (2 adjoints, 2 products).  ``fock.matmul_nnz`` sums the
 # nonzero entries of every product, so a change of storage that alters any
-# product matrix, or adds a product, fails here too.
+# product matrix, or adds a product, fails here too.  Each family's products
+# stop at its checked domain, the words of length <= 3 for i, ii and iv and
+# <= 2 for iii, so per family:
+#   i   28: the ranges L_1 L_1*, L_2 L_2* on the words of length <= 3 that
+#           begin with 1 (6) and with 2 (4), and L_k* L_k on the 11 and 7
+#           sources of L_1 and L_2;
+#   ii  28: the same on the right;
+#   iii 32: L_k R_l and R_l L_k, 6, 4, 4 and 2 each for (k, l) = (1, 1),
+#           (1, 2), (2, 1), (2, 2);
+#   iv  35: L_k* R_l 7 + 4 + 4 + 3 and R_l L_k* 6 + 4 + 4 + 3;
+#   pairing 10: L_1* R_1 7 and L_2* R_2 3.
 #
 # lemma-verify makes one Fock product per pair of terms in each hybrid
 # product.  On FIB, W and W* have two terms (R_i (x) s_i*), L_k (x) 1 and
@@ -81,7 +91,7 @@ FAMILIES = {
 # entries add up to 148 + 178 + 180.
 EXACT_COUNTS = {
     "fock-relations": {"fock.adjoint_calls": 6, "fock.matmul_calls": 26,
-                       "fock.matmul_nnz": 162},
+                       "fock.matmul_nnz": 133},
     "hybrid-lemmas": {"fock.adjoint_calls": 14, "fock.matmul_calls": 124,
                       "fock.matmul_nnz": 506},
 }

@@ -477,6 +477,90 @@ def test_truncation_stability_of_relations():
             assert {d.column: d.delta for d in rs.defects} == shared
 
 
+# ---------------------------------------------------------------------------
+# each creation relation built on its checked domain only
+
+
+SMALL = all_valid_matrices(2) + all_valid_matrices(3)
+
+
+def _uncompressed_relations(b):
+    """The creation relations as full products, ``commutator`` and full range
+    sums over the whole basis: the reference for ``creation_relations``."""
+    a, n = b.matrix, b.matrix.n
+    ls = [build_creation(b, "left", k) for k in range(1, n + 1)]
+    rs = [build_creation(b, "right", k) for k in range(1, n + 1)]
+    ls_star, rs_star = [x.adjoint() for x in ls], [x.adjoint() for x in rs]
+    p = vacuum_projection(b)
+    for label, xs, xs_star, adjacent in (("i", ls, ls_star, a.succ), ("ii", rs, rs_star, a.pred)):
+        for k in range(n):
+            rhs = p
+            for i in adjacent[k]:
+                rhs = rhs + xs[i] @ xs_star[i]
+            yield f"{label}(k={k + 1})", xs_star[k] @ xs[k], rhs
+    for k in range(n):
+        for l in range(n):
+            yield f"iii(k={k + 1},l={l + 1})", commutator(ls[k], rs[l]), zero(b)
+    for k in range(n):
+        for l in range(n):
+            yield f"iv(k={k + 1},l={l + 1})", commutator(ls_star[k], rs[l]), p if k == l else zero(b)
+
+
+def _cols_upto(x, m):
+    return {j: col for j, col in x.cols.items() if len(x.basis.words[j]) <= m}
+
+
+def test_basis_letter_lists():
+    for a in (FIB, MIXED4):
+        b = FockBasis(a, 4)
+        assert b.first_letters == [w[0] for w in b.words[1:]]
+        assert b.last_letters == [w[-1] for w in b.words[1:]]
+        assert b.first_letters is b.first_letters  # built once per basis
+
+
+def test_upto_keeps_bounds_and_commutes_with_products():
+    for a in (FIB, CHORD3, MIXED4):
+        for m in range(2, 6):
+            pool, _ = _operator_pool(a, m)
+            pool += [x @ y for x, y in zip(pool, pool[1:] + pool[:1])]
+            for d in range(-1, m + 2):
+                for x in pool:
+                    xd = x.upto(d)
+                    assert (xd.raise_len, xd.lower_len, xd.valid_up_to, xd.adj_valid) == (
+                        x.raise_len, x.lower_len, x.valid_up_to, x.adj_valid)
+                    assert xd.cols == _cols_upto(x, d)
+                for x, y in zip(pool, pool[3:] + pool[:3]):
+                    assert x @ y.upto(d) == (x @ y).upto(d), (a, m, d)
+
+
+def test_creation_relations_match_uncompressed_reference():
+    # equal on every column the check reads, and no column beyond it built
+    for a in SMALL:
+        for m in range(2, 6):
+            b = FockBasis(a, m)
+            got = list(creation_relations(b))
+            ref = list(_uncompressed_relations(b))
+            assert [g[0] for g in got] == [r[0] for r in ref]
+            for (label, lhs, rhs), (_label, lhs_ref, rhs_ref) in zip(got, ref):
+                assert lhs.valid_up_to == lhs_ref.valid_up_to, (a, m, label)
+                assert rhs.valid_up_to == rhs_ref.valid_up_to, (a, m, label)
+                valid = min(lhs_ref.valid_up_to, rhs_ref.valid_up_to)
+                for x, x_ref in ((lhs, lhs_ref), (rhs, rhs_ref)):
+                    assert _cols_upto(x, valid) == _cols_upto(x_ref, valid), (a, m, label)
+                    assert x.cols == _cols_upto(x, valid), (a, m, label)
+
+
+def test_verify_creation_relations_matches_uncompressed_reports():
+    for a in SMALL:
+        for m in range(2, 6):
+            b = FockBasis(a, m)
+            ref = [verify_relation(label, lhs, rhs) for label, lhs, rhs in _uncompressed_relations(b)]
+            assert verify_creation_relations(b) == ref, (a, m)
+            for which in ("i", "ii", "iii", "iv"):
+                assert verify_creation_relations(b, which) == [
+                    r for r in ref if r.relation.startswith(which + "(")], (a, m, which)
+
+
 def test_orbit_spans_family():
     for a in relation_family():
         assert orbit_spans(FockBasis(a, 4))
@@ -499,6 +583,12 @@ def test_rotation_operator():
         # sector 1: X xi_j = A[j][j] xi_j
         ker1 = sum(1 for j in range(a.n) if not a.entry(j, j))
         assert rep.sectors[0].dim_ker == ker1
+        assert x.column(0) == {0: a.n}
+        for s in rep.sectors:
+            cols = [x.column(j) for j in b.sector(s.sector)]
+            rows = {i for col in cols for i in col}
+            assert (s.dimension, s.dim_ker, s.dim_coker) == (
+                len(cols), cols.count({}), len(cols) - len(rows))
 
 
 def test_rotation_rotates_words():
