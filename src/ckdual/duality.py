@@ -225,7 +225,7 @@ def hybrid_defects(x: HybridElement, y: HybridElement):
             coef = op.coef
             for j, i in op.tgt.items():
                 if j < end:
-                    diff.setdefault(j, []).extend((i, coef[j], acc))
+                    diff.setdefault(j, []).extend((i, coef.get(j, 1), acc))
     factors = (ckalg.o_a(basis.matrix),)
     defects = []
     for j in sorted(diff):

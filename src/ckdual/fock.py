@@ -28,15 +28,23 @@ range projection builds a column the check does not read.
 Storage.  Every operator ckdual builds (the creation operators, their
 adjoints, the range projections, their products, and the sums in the
 relations and in the rotation X) sends each basis word to at most one word.
-So an operator is a weighted partial map, two maps over its nonzero columns:
-``tgt`` (column -> row) and ``coef`` (column -> nonzero int).  A result with
-two entries in one column (a sum whose operands send a column to different
-rows, or the adjoint of a map that is not injective) raises ``ValueError``
-naming the column.  Equality and hash compare the two maps.  Operators are
-immutable and ``scale`` shares ``tgt``: no map reached through an operator
-(``tgt``, ``coef``, ``cols`` or ``column``) may be mutated.  An operator
-records nothing of how it was built; the quotient map onto O_A (x) O_{A^T}
-lives on the hybrid elements of ``ckdual.duality``.
+So an operator is a weighted partial map: ``tgt`` (column -> row) over its
+nonzero columns, and ``coef`` (column -> int) over only the columns whose
+weight is not 1, which readers take as ``coef.get(j, 1)``.  The creation
+operators, P, the identity, their adjoints and every product of them carry
+an empty ``coef``.  The form is canonical (the keys of ``coef`` lie in
+``tgt``, and no stored weight is 0 or 1), so equality and hash compare the
+two maps.  A result with two entries in one column (a sum whose operands
+send a column to different rows, or the adjoint of a map that is not
+injective) raises ``ValueError`` naming the column.  Every column and row
+integer is the entry of ``FockBasis.positions``, one int object per basis
+position shared by every operator on the basis: the creation operators
+draw them from it, and products, sums, adjoints and ``upto`` only move
+their operands' integers.  Operators are immutable and ``scale`` shares
+``tgt``: no map reached through an operator (``tgt``, ``coef``, ``cols`` or
+``column``) may be mutated.  An operator records nothing of how it was
+built; the quotient map onto O_A (x) O_{A^T} lives on the hybrid elements
+of ``ckdual.duality``.
 
 Creation operators are indexed arithmetically, with no word built or looked
 up.  L_k maps its sources, the vacuum and the words w of length < m_max with
@@ -87,6 +95,12 @@ class FockBasis:
         return list(map(itemgetter(-1), islice(self.words, 1, None)))
 
     @cached_property
+    def positions(self) -> list:
+        """The basis positions 0, 1, ..., one int object each, from which every
+        operator on this basis draws its columns and rows."""
+        return list(range(self.size))
+
+    @cached_property
     def index(self) -> dict:
         """Word -> basis position, built on first use (no operator needs it)."""
         return {w: i for i, w in enumerate(self.words)}
@@ -105,11 +119,13 @@ class FockBasis:
 
 
 class FockOperator:
-    """Weighted partial map on a FockBasis (module docstring): ``tgt`` and
-    ``coef`` over the nonzero columns (the keys of ``tgt`` are the support),
-    the length bounds ``raise_len`` and ``lower_len``, and the valid domains
-    derived from them.  Equality and hash are by matrix on the same basis,
-    whatever the bounds; the hash is cached on first use.
+    """Weighted partial map on a FockBasis (module docstring): ``tgt`` over
+    the nonzero columns (its keys are the support), ``coef`` over only the
+    columns whose weight is not 1 (an absent weight is 1), the length bounds
+    ``raise_len`` and ``lower_len``, and the valid domains derived from them.
+    The integers in ``tgt`` are the basis's shared ``positions``.  Equality
+    and hash are by matrix on the same basis, whatever the bounds; the hash
+    is cached on first use.
     """
 
     __slots__ = ("basis", "tgt", "coef", "raise_len", "lower_len", "_hash")
@@ -136,12 +152,12 @@ class FockOperator:
     def cols(self) -> dict:
         """The matrix as {column: {row: coeff}}, built on every access (hot
         paths read ``tgt`` and ``coef``)."""
-        coef = self.coef
-        return {j: {i: coef[j]} for j, i in self.tgt.items()}
+        get = self.coef.get
+        return {j: {i: get(j, 1)} for j, i in self.tgt.items()}
 
     def column(self, j: int) -> dict:
         i = self.tgt.get(j)
-        return {} if i is None else {i: self.coef[j]}
+        return {} if i is None else {i: self.coef.get(j, 1)}
 
     def _same_basis(self, other):
         if self.basis is not other.basis:
@@ -157,15 +173,18 @@ class FockOperator:
         xtgt, ytgt = self.tgt, other.tgt
         tgt, coef = xtgt | ytgt, self.coef | other.coef
         if len(tgt) < len(xtgt) + len(ytgt):
-            xcoef = self.coef
+            xget, yget = self.coef.get, other.coef.get
             for j in xtgt.keys() & ytgt.keys():
                 if xtgt[j] != ytgt[j]:
                     raise self._two_entries("the sum", j)
-                v = xcoef[j] + coef[j]
-                if v:
+                v = xget(j, 1) + yget(j, 1)
+                if v == 1:
+                    coef.pop(j, None)
+                elif v:
                     coef[j] = v
                 else:
-                    del tgt[j], coef[j]
+                    del tgt[j]
+                    coef.pop(j, None)
         return FockOperator(self.basis, tgt, coef, max(self.raise_len, other.raise_len),
                             max(self.lower_len, other.lower_len))
 
@@ -177,18 +196,25 @@ class FockOperator:
             raise TypeError("Fock operators are integer matrices; scale by int")
         if c == 0:
             return zero(self.basis)
-        coef = {j: c * v for j, v in self.coef.items()}
+        get = self.coef.get
+        coef = {j: v for j in self.tgt if (v := c * get(j, 1)) != 1}
         return FockOperator(self.basis, self.tgt, coef, self.raise_len, self.lower_len)
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         self._same_basis(other)
         atgt, acoef, bcoef = self.tgt, self.coef, other.coef
-        tgt, coef = {}, {}
-        for j, mid in other.tgt.items():
-            i = atgt.get(mid)
-            if i is not None:
-                tgt[j] = i
-                coef[j] = acoef[mid] * bcoef[j]
+        if acoef or bcoef:
+            tgt, coef = {}, {}
+            for j, mid in other.tgt.items():
+                i = atgt.get(mid)
+                if i is not None:
+                    tgt[j] = i
+                    v = acoef.get(mid, 1) * bcoef.get(j, 1)
+                    if v != 1:
+                        coef[j] = v
+        else:
+            tgt = {j: i for j, mid in other.tgt.items() if (i := atgt.get(mid)) is not None}
+            coef = {}
         return FockOperator(self.basis, tgt, coef, self.raise_len + other.raise_len,
                             self.lower_len + other.lower_len)
 
@@ -229,12 +255,12 @@ def zero(basis: FockBasis) -> FockOperator:
 
 
 def identity(basis: FockBasis) -> FockOperator:
-    every = range(basis.size)
-    return FockOperator(basis, dict(zip(every, every)), dict.fromkeys(every, 1), 0, 0)
+    every = basis.positions
+    return FockOperator(basis, dict(zip(every, every)), {}, 0, 0)
 
 
 def vacuum_projection(basis: FockBasis) -> FockOperator:
-    return FockOperator(basis, {0: 0}, {0: 1}, 0, 0)
+    return FockOperator(basis, {0: 0}, {}, 0, 0)
 
 
 def build_creation(basis: FockBasis, side: str, k: int) -> FockOperator:
@@ -257,11 +283,11 @@ def build_creation(basis: FockBasis, side: str, k: int) -> FockOperator:
     else:
         letters, fits = basis.last_letters, frozenset(a.pred[k0])
     is_k = [c == k0 for c in range(a.n)]
-    sources = chain((0,), compress(range(1, basis.end_of_length(basis.m_max - 1)),
+    pos = basis.positions
+    sources = chain((0,), compress(islice(pos, 1, basis.end_of_length(basis.m_max - 1)),
                                    map(fits.__contains__, letters)))
-    targets = compress(range(1, basis.size), map(is_k.__getitem__, letters))
-    tgt = dict(zip(sources, targets))
-    return FockOperator(basis, tgt, dict.fromkeys(tgt, 1), 1, 0)
+    targets = compress(islice(pos, 1, None), map(is_k.__getitem__, letters))
+    return FockOperator(basis, dict(zip(sources, targets)), {}, 1, 0)
 
 
 def commutator(x: FockOperator, y: FockOperator) -> FockOperator:
@@ -309,7 +335,8 @@ def verify_relation(relation: str, lhs: FockOperator, rhs: FockOperator) -> Rela
     valid = min(lhs.valid_up_to, rhs.valid_up_to)
     end = basis.end_of_length(valid)
     lt, lc, rt, rc = lhs.tgt, lhs.coef, rhs.tgt, rhs.coef
-    differ = [j for j, i in lt.items() if j < end and (rt.get(j) != i or rc.get(j) != lc[j])]
+    differ = [j for j, i in lt.items()
+              if j < end and (rt.get(j) != i or rc.get(j, 1) != lc.get(j, 1))]
     differ += [j for j in rt if j < end and j not in lt]
     differ.sort()
     defects = []
@@ -445,7 +472,7 @@ def rotation_operator(basis: FockBasis):
     for k in range(1, n + 1):
         x = x + build_creation(basis, "left", k).adjoint() @ build_creation(basis, "right", k)
     tgt = x.tgt
-    vacuum = x.coef[0] if tgt.get(0) == 0 else 0
+    vacuum = x.coef.get(0, 1) if tgt.get(0) == 0 else 0
     sectors = []
     for m in range(1, x.valid_up_to + 1):
         idxs = basis.sector(m)

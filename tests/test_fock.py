@@ -411,6 +411,113 @@ def test_operations_match_dict_of_dicts_reference(a, m, steps):
         bounds.append(bound)
 
 
+# ---------------------------------------------------------------------------
+# the canonical form: unit weights implicit, position integers shared
+
+
+def _word_model_generators(b):
+    """Dense {column: {row: 1}} of L_1..L_n, R_1..R_n, computed from the words."""
+    a, position = b.matrix, {w: i for i, w in enumerate(b.words)}
+    out = []
+    for side in ("left", "right"):
+        for k0 in range(a.n):
+            cols = {}
+            for j, w in enumerate(b.words):
+                new = (k0,) + w if side == "left" else w + (k0,)
+                if new in position and is_admissible(a, new):
+                    cols[j] = {position[new]: 1}
+            out.append(cols)
+    return out
+
+
+def _assert_canonical(x, ref):
+    assert x.coef.keys() <= x.tgt.keys()
+    assert all(v not in (0, 1) for v in x.coef.values()), x.coef
+    assert x.cols == ref
+    twice = x.scale(-1).scale(-1)
+    assert twice == x and hash(twice) == hash(x)
+
+
+def test_every_expression_keeps_the_canonical_form():
+    # expressions over L_k, R_k, their adjoints, P and 1 on every valid 2x2
+    # and 3x3 matrix; a result with two entries in a column is skipped
+    for a in SMALL:
+        for m in range(2, 5):
+            b = FockBasis(a, m)
+            gens = [build_creation(b, side, k) for side in ("left", "right")
+                    for k in range(1, a.n + 1)]
+            gen_refs = _word_model_generators(b)
+            pool = gens + [g.adjoint() for g in gens] + [vacuum_projection(b), identity(b)]
+            refs = gen_refs + [_ref_adjoint(r) for r in gen_refs]
+            refs += [{0: {0: 1}}, {j: {j: 1} for j in range(b.size)}]
+            for x, ref in zip(pool, refs):
+                assert not x.coef
+                _assert_canonical(x, ref)
+            rng = random.Random(f"{a.rows} {m}")
+            for _ in range(24):
+                kind = rng.choice(("+", "-", "@", "scale", "adjoint", "upto"))
+                i, j = rng.randrange(len(pool)), rng.randrange(len(pool))
+                c, d = rng.choice((-2, -1, 1, 2)), rng.randrange(-1, m + 1)
+                x, y = pool[i], pool[j]
+                if kind == "upto":
+                    ref = {col: e for col, e in refs[i].items() if len(b.words[col]) <= d}
+                else:
+                    ref = _REFERENCE[kind](refs[i], refs[j], c)
+                if any(len(e) > 1 for e in ref.values()):
+                    continue
+                got = x.upto(d) if kind == "upto" else _OPERATION[kind](x, y, c)
+                _assert_canonical(got, ref)
+                pool.append(got)
+                refs.append(ref)
+
+
+def test_weights_cancelling_to_one_give_the_unit_operator():
+    for a in SMALL:
+        for m in range(2, 5):
+            b = FockBasis(a, m)
+            ls = [build_creation(b, "left", k) for k in range(1, a.n + 1)]
+            rs = [build_creation(b, "right", k) for k in range(1, a.n + 1)]
+            p, one, y = vacuum_projection(b), identity(b), ls[-1].adjoint()
+            units = [ls[0], rs[-1], ls[0].adjoint(), ls[0] @ rs[-1].adjoint(), p, one]
+            for x in units:
+                cancelled = [
+                    x.scale(2) + x.scale(-1),
+                    x.scale(2) - x,
+                    x + x - x,
+                    x.scale(-2) + x.scale(2) + x,
+                    x.scale(-1).scale(-1),
+                    x.scale(-1) @ one.scale(-1),
+                    one.scale(-1) @ x.scale(-1),
+                ]
+                for got in cancelled:
+                    assert got == x and hash(got) == hash(x), (a, m)
+                    assert got.coef == {}
+                assert x.scale(-1) @ y.scale(-1) == x @ y
+                assert (x.scale(-1) @ y.scale(-1)).coef == {}
+                assert (x.scale(2) @ y).upto(m - 1).scale(-1).scale(-1) == (x @ y).scale(2).upto(m - 1)
+                # only one factor weighted: the weights of the product are read
+                assert x @ y.scale(2) == (x @ y).scale(2)
+                assert x.scale(-2) @ y == (x @ y).scale(-2)
+
+
+def test_operators_share_the_basis_position_integers():
+    b = FockBasis(ones(3), 5)
+    positions = b.positions
+    assert positions == list(range(b.size)) and b.size > 256  # past the small-int cache
+    assert b.positions is positions
+    gens = [build_creation(b, side, k) for side in ("left", "right") for k in (1, 2, 3)]
+    adjoints = [x.adjoint() for x in gens]
+    ops = gens + adjoints + [
+        gens[0] @ adjoints[0],
+        gens[0] @ adjoints[0] + gens[4] @ adjoints[4],
+        adjoints[2].upto(3),
+        identity(b),
+    ]
+    for x in ops:
+        assert x.tgt
+        assert all(j is positions[j] and i is positions[i] for j, i in x.tgt.items())
+
+
 def _reference_defects(lhs, rhs):
     # the former construction: walk the columns of lhs - rhs in the valid domain
     b = lhs.basis
