@@ -329,10 +329,6 @@ def verify_w(a: ZeroOneMatrix) -> bool:
     return tensor_equal(lhs, p) and tensor_equal(rhs, p)
 
 
-def circle_factors(a: ZeroOneMatrix):
-    return (o_a(a), LAURENT)
-
-
 def _check_circle_signature(x: TensorElement, error=SignatureMismatchError) -> None:
     """Raise ``error`` unless x lies in O_A (x) C(S^1), the circle second only."""
     if len(x.factors) != 2 or x.factors[0] == LAURENT or x.factors[1] != LAURENT:

@@ -59,6 +59,15 @@ def _warn_unless_cantor(a: sft.ZeroOneMatrix) -> None:
         )
 
 
+def _fock_basis(args) -> fock.FockBasis:
+    """The Fock basis of a ``--max-length`` command: the matrix, loaded and
+    checked against the letter budget, with the Cantor warning on stderr."""
+    a = sft.load_matrix(args.matrix)
+    _check_letters(a, 0, args.max_length)
+    _warn_unless_cantor(a)
+    return fock.FockBasis(a, args.max_length)
+
+
 def cmd_validate(args) -> int:
     a = sft.load_matrix(args.matrix)
     aperiodic = sft.is_aperiodic(a)
@@ -104,18 +113,22 @@ def cmd_words(args) -> int:
 
 def cmd_ktheory(args) -> int:
     a = sft.load_matrix(args.matrix)
-    if args.json:
-        _emit_json(ktheory.report_json(a, include_duality=args.duality))
-        return EXIT_OK
     pair = ktheory.presentation_pair(a)
     rep = ktheory.k_groups(a, pair)
+    d = ktheory.duality_report(a, pair) if args.duality else None
+    if args.json:
+        out = rep.to_json()  # the matrix it echoes is A, not B
+        if args.duality:
+            out["duality"] = d.to_json()
+        _emit_json(out)
+        return EXIT_OK
     for name, alg in (("O_A", rep.o_a), ("O_AT", rep.o_at)):
         print(f"K0({name})  = {alg.k0}")
         print(f"K1({name})  = {alg.k1}")
         print(f"K^0({name}) = {alg.khom0}")
         print(f"K^1({name}) = {alg.khom1}")
     if args.duality:
-        _print_duality(ktheory.duality_report(a, pair))
+        _print_duality(d)
     return EXIT_OK
 
 
@@ -141,15 +154,12 @@ def cmd_duality(args) -> int:
 
 
 def cmd_fock_verify(args) -> int:
-    a = sft.load_matrix(args.matrix)
-    _check_letters(a, 0, args.max_length)
-    _warn_unless_cantor(a)
-    basis = fock.FockBasis(a, args.max_length)
+    basis = _fock_basis(args)
     reports = fock.verify_creation_relations(basis, args.relation)
     if args.json:
         _emit_json(
             {
-                "matrix": a.to_json(),
+                "matrix": basis.matrix.to_json(),
                 "m_max": args.max_length,
                 "reports": [r.to_json() for r in reports],
             }
@@ -167,10 +177,7 @@ def cmd_fock_verify(args) -> int:
 
 
 def cmd_lemma_verify(args) -> int:
-    a = sft.load_matrix(args.matrix)
-    _check_letters(a, 0, args.max_length)
-    _warn_unless_cantor(a)
-    basis = fock.FockBasis(a, args.max_length)
+    basis = _fock_basis(args)
     report = dualitymod.verify_lemmas(basis, args.which)
     if args.json:
         _emit_json(report.to_json())
@@ -191,14 +198,11 @@ def cmd_lemma_verify(args) -> int:
 
 
 def cmd_pairing(args) -> int:
-    a = sft.load_matrix(args.matrix)
-    _check_letters(a, 0, args.max_length)
-    _warn_unless_cantor(a)
-    basis = fock.FockBasis(a, args.max_length)
+    basis = _fock_basis(args)
     _x, report = fock.rotation_operator(basis)
     if args.json:
         out = report.to_json()
-        out["matrix"] = a.to_json()
+        out["matrix"] = basis.matrix.to_json()
         out["m_max"] = args.max_length
         _emit_json(out)
     else:

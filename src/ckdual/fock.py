@@ -109,10 +109,6 @@ class FockBasis:
     def size(self) -> int:
         return len(self.words)
 
-    def sector(self, m: int):
-        start, end = self.sector_bounds[m]
-        return range(start, end)
-
     def end_of_length(self, m: int) -> int:
         """Index one past the last word of length <= m (0 when m < 0)."""
         return self.sector_bounds[min(m, self.m_max)][1] if m >= 0 else 0
@@ -288,10 +284,6 @@ def build_creation(basis: FockBasis, side: str, k: int) -> FockOperator:
                                    map(fits.__contains__, letters)))
     targets = compress(islice(pos, 1, None), map(is_k.__getitem__, letters))
     return FockOperator(basis, dict(zip(sources, targets)), {}, 1, 0)
-
-
-def commutator(x: FockOperator, y: FockOperator) -> FockOperator:
-    return x @ y - y @ x
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +467,7 @@ def rotation_operator(basis: FockBasis):
     vacuum = x.coef.get(0, 1) if tgt.get(0) == 0 else 0
     sectors = []
     for m in range(1, x.valid_up_to + 1):
-        idxs = basis.sector(m)
+        idxs = range(*basis.sector_bounds[m])
         rows = [tgt[j] for j in idxs if j in tgt]  # one per nonzero column
         dim = len(idxs)
         sectors.append(SectorIndex(m, dim, dim - len(rows), dim - len(set(rows))))

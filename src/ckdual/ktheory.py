@@ -15,14 +15,15 @@ det(1 - A); each matrix is square, so the free rank of each cokernel is the
 rank of the matching kernel, and those are kept too.  A higher-block
 presentation A^[N] amalgamates back to the size of A (MIXED4^[5]: 172
 states to 4), and a matrix with no two equal rows and no two equal columns
-is its own amalgamation, B = A.  ``presentation_pair`` builds the pair,
-and a report builds it once and hands it to ``k_groups`` and
-``duality_report``.  K_0(O_A) and K^1(O_{A^T}) are presented by the one
-matrix 1 - B^T (likewise K_1(O_A) and K^0(O_{A^T}) share its kernel), so
-the report states those matches as identities.  coker(1 - A) and
-coker(1 - A^T) are only abstractly isomorphic - equal invariant factors, no
-preferred map - so the report compares their Smith forms and never
-identifies them entrywise.
+is its own amalgamation, B = A.  ``presentation_pair`` builds the pair the
+same way for every input, from ``succ``; ``ckdual ktheory`` builds it once
+and hands it to ``k_groups`` and ``duality_report``, and renders that one
+result as JSON or as text.  K_0(O_A) and K^1(O_{A^T}) are presented by
+the one matrix 1 - B^T (likewise K_1(O_A) and K^0(O_{A^T}) share its
+kernel), so the report states those matches as identities.  coker(1 - A)
+and coker(1 - A^T) are only abstractly isomorphic - equal invariant
+factors, no preferred map - so the report compares their Smith forms and
+never identifies them entrywise.
 
 A ``ktheory --duality`` report asks for a Smith form ten times (four per
 algebra in ``k_groups``, two in ``duality_report``; six through
@@ -42,19 +43,6 @@ from .sft import ZeroOneMatrix
 from .zlinalg import FGAbelianGroup, IntMatrix, cokernel, kernel_basis
 
 
-def one_minus(a: ZeroOneMatrix) -> IntMatrix:
-    """1 - A: row i is e_i minus the e_j for the letters j in ``succ[i]``."""
-    n = a.n
-    rows = []
-    for i, succ in enumerate(a.succ):
-        row = [0] * n
-        row[i] = 1
-        for j in succ:
-            row[j] -= 1
-        rows.append(tuple(row))
-    return IntMatrix(n, n, tuple(rows))
-
-
 def _one_minus_multigraph(b: list) -> IntMatrix:
     """1 - B for the multigraph B whose row i is ``{j: multiplicity}``."""
     n = len(b)
@@ -68,30 +56,29 @@ def _one_minus_multigraph(b: list) -> IntMatrix:
     return IntMatrix(n, n, tuple(rows))
 
 
-def _merge_equal_columns(rows: dict, keys) -> dict | None:
-    """One out-amalgamation pass: the rows of the merged multigraph, or None.
+def _merge_equal_columns(rows: dict) -> dict:
+    """One out-amalgamation pass, returned transposed: the rows of B^T.
 
-    ``rows`` maps each state to its row ``{j: multiplicity}`` and ``keys``
-    gives (state, hashable column) once per state; equal keys must mean
-    equal columns, multiplicities included.  Each group of equal columns
-    merges into its first state, which takes the sum of the group's rows;
-    the other rows and columns of the group are deleted.  None when no two
-    columns are equal.
+    ``rows`` maps each state to its row ``{j: multiplicity}`` in a matrix A.
+    Columns are keyed by their (state, multiplicity) pairs, because merged
+    rows are sums and entries may exceed 1.  B is A with each group of
+    equal columns merged into its first state, which takes the sum of the
+    group's rows; the other rows and columns of the group are deleted.  So
+    row k of B^T, for a kept state k, is column k of A with each entry
+    added onto the first state of its group.
     """
+    cols = _transpose(rows)
     groups = {}
-    for j, key in keys:
-        groups.setdefault(key, []).append(j)
-    if len(groups) == len(rows):
-        return None
-    kept = {g[0] for g in groups.values()}
+    for j, col in cols.items():
+        groups.setdefault(frozenset(col.items()), []).append(j)
+    if len(groups) == len(cols):
+        return cols
+    first = {j: g[0] for g in groups.values() for j in g}
     merged = {}
-    for first, *rest in groups.values():
-        row = {j: m for j, m in rows[first].items() if j in kept}
-        for i in rest:
-            for j, m in rows[i].items():
-                if j in kept:
-                    row[j] = row.get(j, 0) + m
-        merged[first] = row
+    for k, *_ in groups.values():
+        row = merged[k] = {}
+        for i, m in cols[k].items():
+            row[first[i]] = row.get(first[i], 0) + m
     return merged
 
 
@@ -103,16 +90,16 @@ def _transpose(rows: dict) -> dict:
     return cols
 
 
-def _amalgamate(succ: tuple, pred: tuple) -> list:
+def _amalgamate(succ: tuple) -> list:
     """The rows ``{j: multiplicity}`` of B, the amalgamation of the 0/1
-    matrix A with the given ``succ`` and ``pred``, relabelled 0..m-1.
+    matrix A with the given ``succ``, relabelled 0..m-1.
 
-    Each pass merges every group of equal columns (``_merge_equal_columns``),
-    then every group of equal rows, as equal columns of the transpose; the
-    passes repeat until one merges nothing.  The first pass hashes the
-    ``pred`` tuples themselves: for a 0/1 matrix they are the columns.  Later
-    passes hash each column's (state, multiplicity) pairs, because merged
-    rows are sums and entries may exceed 1.
+    Each round merges every group of equal columns (``_merge_equal_columns``),
+    then every group of equal rows, as equal columns of the transpose that
+    the first half returns; the second half transposes back, so a round
+    ends on B, not B^T.  The rounds repeat until one merges nothing, so no
+    two rows and no two columns of B are equal, and a matrix with none to
+    begin with is its own amalgamation, B = A.
 
     B keeps the three invariants the K-theory reads:
 
@@ -158,36 +145,17 @@ def _amalgamate(succ: tuple, pred: tuple) -> list:
       invariants hold after every pass, at every multiplicity.
     """
     rows = {i: dict.fromkeys(s, 1) for i, s in enumerate(succ)}
-    keys = enumerate(pred)
-    transposed, idle = False, 0
-    while idle < 2:  # a column half and a row half that merged nothing
-        merged = _merge_equal_columns(rows, keys)
-        if merged is None:
-            merged, idle = rows, idle + 1
-        else:
-            idle = 0
-        # the next half merges the equal rows of ``merged``: the equal
-        # columns of its transpose
-        keys = [(i, frozenset(row.items())) for i, row in merged.items()]
-        rows, transposed = _transpose(merged), not transposed
-    if transposed:
-        rows = _transpose(rows)
+    size = 0
+    while len(rows) != size:  # until a round merges nothing
+        size = len(rows)
+        rows = _merge_equal_columns(_merge_equal_columns(rows))
     index = {s: k for k, s in enumerate(rows)}
     return [{index[j]: m for j, m in row.items()} for row in rows.values()]
 
 
 def presentation_pair(a: ZeroOneMatrix) -> tuple:
-    """(1 - B, 1 - B^T) for the amalgamation B of A (``_amalgamate``).
-
-    An input with no two equal ``succ`` tuples and no two equal ``pred``
-    tuples has no equal rows or columns and is presented by ``one_minus``
-    itself; only an input that merges pays for the multigraph passes.
-    """
-    succ, pred = a.succ, a.pred
-    if len(set(succ)) == len(set(pred)) == a.n:
-        pres = one_minus(a)
-    else:
-        pres = _one_minus_multigraph(_amalgamate(succ, pred))
+    """(1 - B, 1 - B^T) for the amalgamation B of A (``_amalgamate``)."""
+    pres = _one_minus_multigraph(_amalgamate(a.succ))
     return pres, pres.transpose()
 
 
@@ -289,12 +257,3 @@ def duality_report(a: ZeroOneMatrix, pair: tuple | None = None) -> DualityReport
         invariant_factors_A=coker_a.torsion,
         invariant_factors_AT=coker_at.torsion,
     )
-
-
-def report_json(a: ZeroOneMatrix, include_duality: bool = False) -> dict:
-    """The ``ktheory --json`` report; the matrix it echoes is A, not B."""
-    pair = presentation_pair(a)
-    out = k_groups(a, pair).to_json()
-    if include_duality:
-        out["duality"] = duality_report(a, pair).to_json()
-    return out

@@ -53,8 +53,6 @@ class MatrixFormatError(ValueError):
     """Raised when a matrix file or string cannot be parsed."""
 
 
-Word = tuple  # tuple of 0-based letters
-
 _ECHO_WIDTH = 40  # most characters of an offending input that a message repeats
 
 

@@ -13,6 +13,11 @@ parses this file and enforces that rule.
 The oracle wrappers below compare the word model with the symbolic layer,
 and ``orbit_spans`` checks that the creation operators reach the whole
 truncated basis.
+
+``one_minus`` is the dense 1 - A, the unreduced presentation that
+``ktheory`` amalgamates away.  It too reads adjacency through ``entry``
+alone and calls nothing in ``ckdual.ktheory``, which ``test_oracles.py``
+enforces in the same way.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 from ckdual import ckalg
 from ckdual.fock import FockBasis, build_creation
 from ckdual.sft import ZeroOneMatrix, enumerate_words
+from ckdual.zlinalg import IntMatrix
 
 
 def _annihilate(k0: int, w):
@@ -75,6 +81,12 @@ def ck_compose_on_word(elems, w) -> dict:
                     del nxt[img]
         vec = nxt
     return vec
+
+
+def one_minus(a: ZeroOneMatrix) -> IntMatrix:
+    """The dense 1 - A, entry by entry."""
+    n = a.n
+    return IntMatrix.from_rows([[int(i == j) - a.entry(i, j) for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """The amalgamated presentation against the unreduced one.
 
 ``ktheory`` reads every group off 1 - B, where B is A with its equal columns
-and equal rows merged (``ktheory._amalgamate``).  The unreduced 1 - A from
-``one_minus`` is the reference here: both must give the same cokernels of
-1 - A and 1 - A^T, the same kernel ranks and the same det(1 - A), which
-``zlinalg.determinant`` computes by Bareiss elimination, not by the Smith
-form.  The size and relabelling tests pin what B is, so that a reduction
-that merges nothing, or returns B^T for B, cannot pass on the invariants
-alone.
+and equal rows merged (``ktheory._amalgamate``).  The unreduced 1 - A, the
+dense ``oracles.one_minus``, is the reference here: both must give the same
+cokernels of 1 - A and 1 - A^T, the same kernel ranks and the same
+det(1 - A), which ``zlinalg.determinant`` computes by Bareiss elimination,
+not by the Smith form.  The size and relabelling tests pin what B is, so
+that a reduction that merges nothing, or returns B^T for B, cannot pass on
+the invariants alone.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ from itertools import permutations
 
 from hypothesis import given, settings
 
-from ckdual.ktheory import _amalgamate, _one_minus_multigraph, one_minus, presentation_pair
+from ckdual.ktheory import _amalgamate, _one_minus_multigraph, presentation_pair
 from ckdual.sft import MatrixValidationError, validate_matrix
 from ckdual.zlinalg import cokernel, determinant, kernel_basis
 
 from helpers import FIB, MIXED4, SPARSE3, all_valid_matrices, higher_block, ones, relation_family
+from oracles import one_minus
 from test_ktheory import _split_of_valid_matrix
 
 
@@ -85,7 +86,7 @@ def test_planted_equal_columns_and_rows():
         m = _assert_same_invariants(a)
         # a copied column stays equal to its source through the row copies
         assert m < a.n
-        multiplied += any(e > 1 for row in _amalgamate(a.succ, a.pred) for e in row.values())
+        multiplied += any(e > 1 for row in _amalgamate(a.succ) for e in row.values())
     # most reductions leave multiplicities above 1, where the oracle must bite too
     assert multiplied > 250
 
@@ -97,7 +98,7 @@ def test_amalgamation_sizes():
     for base, block, size in cases:
         assert presentation_pair(higher_block(base, block))[0].rows == size
     a = higher_block(ones(3), 3)
-    assert _amalgamate(a.succ, a.pred) == [{0: 3}]
+    assert _amalgamate(a.succ) == [{0: 3}]
 
 
 def _is_relabelling(b: list, a) -> bool:
@@ -120,7 +121,7 @@ def test_higher_block_amalgamates_to_its_base():
 
 
 def test_input_without_equal_rows_or_columns_is_its_own_amalgamation():
-    # presentation_pair skips _amalgamate for these inputs; it would return A
+    # nothing merges, so the amalgamation is A itself
     rng = random.Random(64)
     family = all_valid_matrices(3) + [
         validate_matrix([[int(rng.random() < 0.45 or i == j) for j in range(n)] for i in range(n)])
@@ -128,5 +129,5 @@ def test_input_without_equal_rows_or_columns_is_its_own_amalgamation():
     distinct = [a for a in family if len(set(a.succ)) == len(set(a.pred)) == a.n]
     assert len(distinct) > 50
     for a in distinct:
-        b = _one_minus_multigraph(_amalgamate(a.succ, a.pred))
+        b = _one_minus_multigraph(_amalgamate(a.succ))
         assert presentation_pair(a)[0] == one_minus(a) == b

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 
@@ -5,13 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ckdual import ktheory, zlinalg
-from ckdual.ktheory import (
-    duality_report,
-    k_groups,
-    one_minus,
-    report_json,
-)
+from ckdual import cli, ktheory, zlinalg
+from ckdual.ktheory import duality_report, k_groups
 from ckdual.sft import validate_matrix
 from ckdual.zlinalg import (
     FGAbelianGroup,
@@ -35,6 +32,17 @@ from helpers import (
     random_valid_matrix,
     relation_family,
 )
+from oracles import one_minus
+
+
+def _ktheory_json(tmp_path, a) -> str:
+    """The stdout of ``ckdual ktheory --duality --json`` on a, run in process."""
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(a.to_json()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["ktheory", "--duality", "--json", "--matrix", str(path)]) == 0
+    return out.getvalue()
 
 
 def test_cuntz_algebra_family():
@@ -130,7 +138,7 @@ def test_presenting_matrices():
     assert m.entries == ((0, -1), (-1, 1))
     m = one_minus(FIB)
     assert m.entries == ((0, -1), (-1, 1))
-    # one_minus reads the successor lists; the dense formula is the reference
+    # the oracle against the dense formula written out
     for a in _presentation_family():
         dense = [[int(i == j) - a.entry(i, j) for j in range(a.n)] for i in range(a.n)]
         assert one_minus(a) == IntMatrix.from_rows(dense)
@@ -150,11 +158,11 @@ def test_o_at_is_o_a_of_the_transpose():
         assert (rep.o_at, rep.o_a) == (rep_t.o_a, rep_t.o_at)
 
 
-def test_report_json_schema_roundtrip():
-    out = report_json(ones(3), include_duality=True)
-    text = json.dumps(out)
-    back = json.loads(text)
-    assert back == out
+def test_report_json_schema_roundtrip(tmp_path):
+    # each part the command prints is a dict equal to its JSON round trip
+    for out in (k_groups(ones(3)).to_json(), duality_report(ones(3)).to_json()):
+        assert json.loads(json.dumps(out)) == out
+    back = json.loads(_ktheory_json(tmp_path, ones(3)))
     assert set(back) == {"matrix", "O_A", "O_AT", "duality"}
     assert set(back["O_A"]) == {"K0", "K1", "K^0", "K^1"}
     assert back["O_A"]["K0"] == {"free_rank": 0, "torsion": [2]}
@@ -174,32 +182,32 @@ def _memo_work(report, a):
     return info.misses, info.hits
 
 
-def test_memo_factors_each_presentation_once():
+def test_memo_factors_each_presentation_once(tmp_path):
     # 1 - A and 1 - A^T differ for MIXED4, so each report factors exactly two
     # matrices however often it asks for them
     a = higher_block(MIXED4, 2)
     assert one_minus(a) != one_minus(a.transpose())
-    assert _memo_work(lambda m: report_json(m, True), a) == (2, 8)
+    assert _memo_work(lambda m: _ktheory_json(tmp_path, m), a) == (2, 8)
     assert _memo_work(k_groups, a) == (2, 6)
     assert _memo_work(duality_report, a) == (2, 0)
 
 
-def test_memo_holds_at_most_two_forms():
+def test_memo_holds_at_most_two_forms(tmp_path):
     smith_normal_form.cache_clear()
     for a in (FIB, MIXED4, higher_block(FIB, 3)):
-        report_json(a, True)
+        _ktheory_json(tmp_path, a)
     assert smith_normal_form.cache_info().currsize <= 2
 
 
-def test_memo_alternating_reports_match_fresh_eliminations(monkeypatch):
+def test_memo_alternating_reports_match_fresh_eliminations(monkeypatch, tmp_path):
     # equal n, so a memo keyed on the shape alone would mix the two up
     rng = random.Random(808)
     a, b = random_valid_matrix(rng, 7), random_valid_matrix(rng, 7)
     order = [a, b, a, b, b, a]
     smith_normal_form.cache_clear()
-    memoised = [json.dumps(report_json(m, True)) for m in order]
+    memoised = [_ktheory_json(tmp_path, m) for m in order]
     monkeypatch.setattr(zlinalg, "smith_normal_form", smith_normal_form.__wrapped__)
-    fresh = [json.dumps(report_json(m, True)) for m in order]
+    fresh = [_ktheory_json(tmp_path, m) for m in order]
     assert memoised == fresh
     assert memoised[0] != memoised[1]
 
@@ -210,7 +218,8 @@ def test_memo_alternating_reports_match_fresh_eliminations(monkeypatch):
     (SWAP, 1, True),  # 1 - A is symmetric, so 1 - A^T is the same matrix
     (validate_matrix([[1, 1], [0, 1]]), 2, True),
 ], ids=["MIXED4", "2-cycle", "upper-triangular"])
-def test_transforms_built_once_per_singular_presentation(monkeypatch, a, presentations, singular):
+def test_transforms_built_once_per_singular_presentation(monkeypatch, tmp_path, a, presentations,
+                                                        singular):
     # only kernel_basis reads V, and only at a zero diagonal entry; the memoised
     # form keeps the transforms once built, so its repeated calls do not redo them
     runs, kernel_calls = [], []
@@ -227,7 +236,7 @@ def test_transforms_built_once_per_singular_presentation(monkeypatch, a, present
     monkeypatch.setattr(zlinalg, "_eliminate", spy_eliminate)
     monkeypatch.setattr(ktheory, "kernel_basis", spy_kernel)
     smith_normal_form.cache_clear()
-    report_json(a, True)
+    _ktheory_json(tmp_path, a)
     assert len(kernel_calls) == 4
     assert runs.count(False) == presentations
     assert runs.count(True) == (presentations if singular else 0)

@@ -17,9 +17,9 @@ import random
 
 import pytest
 
-from ckdual.ktheory import one_minus
 from ckdual.zlinalg import IntMatrix, smith_normal_form
 from helpers import FIB, MIXED4, higher_block, random_valid_matrix
+from oracles import one_minus
 
 
 def _digest(matrices) -> str:
