@@ -15,14 +15,12 @@ from .ckalg import (
     TensorElement,
     alpha_bar,
     ck_generator,
-    ck_monomial,
     ck_multiply,
     ck_unit,
     o_a,
     o_at,
     tensor_equal,
     theta,
-    verify_w,
     w_element,
 )
 from .duality import (

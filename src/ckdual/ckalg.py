@@ -13,7 +13,9 @@ over several such algebras is an exact combination of elementary tensors,
 each keyed by one normal-form pair (mu, nu) per factor.  Coefficients are
 ints unless a caller supplies another number, which is stored as an exact
 ``Fraction``.  An element of O_A is a one-factor tensor element:
-``factors == (tag,)`` and keys ``((mu, nu),)``.
+``factors == (tag,)`` and keys ``((mu, nu),)``.  No word is checked for
+admissibility: products of generators and their adjoints only ever form
+admissible words, and ``tensor_elem`` takes the keys it is given.
 
 The circle algebra C(S^1) is no separate kind of factor: it is the
 Cuntz-Krieger algebra of the 1x1 matrix [1], whose one generator z = s_1 is
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .sft import ZeroOneMatrix, is_admissible, validate_matrix, word_str
+from .sft import ZeroOneMatrix, validate_matrix, word_str
 
 # Bound on the memoized zero-test verdicts; one lemma report needs far fewer.
 _ZERO_TEST_CACHE_SIZE = 4096
@@ -229,25 +231,12 @@ def ck_generator(tag: AlgebraTag, k: int) -> TensorElement:
     return tensor_elem((tag,), (((k - 1,), ()),))
 
 
-def ck_monomial(tag: AlgebraTag, mu, nu, coeff=1) -> TensorElement:
-    """coeff * s_mu s_nu* with 0-based words (validated for admissibility)."""
-    mu, nu = tuple(mu), tuple(nu)
-    for w in (mu, nu):
-        if any(not 0 <= i < tag.matrix.n for i in w) or not is_admissible(tag.matrix, w):
-            raise ValueError(f"word {w} is not admissible for this matrix")
-    return tensor_elem((tag,), ((mu, nu),), coeff)
-
-
 def embed_ck(factors, pos: int, x: TensorElement) -> TensorElement:
     """1 (x) ... (x) x (x) ... (x) 1 with the one-factor element x in position pos."""
     if x.factors != (factors[pos],):
         raise SignatureMismatchError("element does not match the factor at this position")
     before, after = (_UNIT,) * pos, (_UNIT,) * (len(factors) - pos - 1)
     return TensorElement(factors, {before + keys + after: c for keys, c in x.terms.items()})
-
-
-def z_power(factors, pos: int, d: int, coeff=1) -> TensorElement:
-    return embed_ck(factors, pos, tensor_elem((LAURENT,), (_z_key(d),), coeff))
 
 
 def ck_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
@@ -320,15 +309,6 @@ def w_range_projection(a: ZeroOneMatrix) -> TensorElement:
     return TensorElement(factors, terms)
 
 
-def verify_w(a: ZeroOneMatrix) -> bool:
-    """Check w*w = ww* = sum_{i,j} A[i][j] s_j s_j* (x) t_i t_i*."""
-    w = w_element(a)
-    p = w_range_projection(a)
-    lhs = ck_multiply(w.adjoint(), w)
-    rhs = ck_multiply(w, w.adjoint())
-    return tensor_equal(lhs, p) and tensor_equal(rhs, p)
-
-
 def _check_circle_signature(x: TensorElement, error=SignatureMismatchError) -> None:
     """Raise ``error`` unless x lies in O_A (x) C(S^1), the circle second only."""
     if len(x.factors) != 2 or x.factors[0] == LAURENT or x.factors[1] != LAURENT:
@@ -347,15 +327,6 @@ def theta(x: TensorElement) -> TensorElement:
         key = ((mu, nu), _z_key(len(p) - len(q) + len(mu) - len(nu)))
         out[key] = out.get(key, 0) + c
     return TensorElement(x.factors, out)
-
-
-def forget_grading(x: TensorElement) -> TensorElement:
-    """Evaluation z -> 1: collapse the circle factor of O_A (x) C(S^1)."""
-    _check_circle_signature(x)
-    out = {}
-    for (pair, _d), c in x.terms.items():
-        out[(pair,)] = out.get((pair,), 0) + c
-    return TensorElement(x.factors[:1], out)
 
 
 def triple_factors(a: ZeroOneMatrix):

@@ -20,7 +20,7 @@ shift/isometry relations that present the Toeplitz algebra tensor O_A.
 
 The quotient map is carried by the elements, not by the Fock operators: the
 hybrid generators supply the image of their operator in O_A (x) O_{A^T}
-(R_i -> 1 (x) t_i, L_k -> s_k (x) 1, P -> 0, I -> 1 (x) 1), and the algebra
+(R_i -> 1 (x) t_i, L_k -> s_k (x) 1, P -> 0), and the algebra
 acts on the images alongside the terms.
 
 Truncation is carried as on a ``FockOperator``: every element has
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from . import ckalg
 from .ckalg import TensorElement, ck_is_zero, ck_unit
-from .fock import FockBasis, build_creation, identity, vacuum_projection
+from .fock import FockBasis, build_creation, vacuum_projection
 from .sft import word_str
 
 
@@ -133,12 +133,6 @@ def hybrid(basis: FockBasis, pairs, images=None) -> HybridElement:
 def _pair_factors(basis: FockBasis):
     """O_A (x) O_{A^T}, where the quotient images of operators live."""
     return (ckalg.o_a(basis.matrix), ckalg.o_at(basis.matrix))
-
-
-def hybrid_unit(basis: FockBasis) -> HybridElement:
-    """I (x) 1, with I -> 1 (x) 1."""
-    return hybrid(basis, [(identity(basis), ck_unit(ckalg.o_a(basis.matrix)))],
-                  [ckalg.tensor_unit(_pair_factors(basis))])
 
 
 def hybrid_mul(x: HybridElement, y: HybridElement) -> HybridElement:

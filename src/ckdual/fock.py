@@ -16,10 +16,11 @@ with Kronecker deltas (the coefficients are forced by the inner product).
 Truncation is explicit: every operator carries ``raise_len`` and
 ``lower_len``, bounds on how much it can lengthen and shorten a word, which
 sums, products and adjoints propagate.  No intermediate word of a column of
-length <= ``valid_up_to = m_max - raise_len`` leaves the window, so those
-columns are exact (``adj_valid = m_max - lower_len`` does the same for the
-adjoint; both are clamped at -1).  Relation checks compare two operators on
-the intersection of their valid domains and report exact defect columns.
+length <= ``valid_up_to = m_max - raise_len`` (clamped at -1) leaves the
+window, so those columns are exact.  An adjoint swaps the two bounds, so its
+columns of length <= m_max - lower_len are exact.  Relation checks compare
+two operators on the intersection of their valid domains and report exact
+defect columns.
 A creation relation is checked as ``lhs Q = rhs Q``, where Q projects onto
 the words of the relation's exact domain.  Q sits on the rightmost factor of
 every product (``x @ y.upto(d) == (x @ y).upto(d)``), so no product, sum or
@@ -31,8 +32,8 @@ relations and in the rotation X) sends each basis word to at most one word.
 So an operator is a weighted partial map: ``tgt`` (column -> row) over its
 nonzero columns, and ``coef`` (column -> int) over only the columns whose
 weight is not 1, which readers take as ``coef.get(j, 1)``.  The creation
-operators, P, the identity, their adjoints and every product of them carry
-an empty ``coef``.  The form is canonical (the keys of ``coef`` lie in
+operators, P, their adjoints and every product of them carry an empty
+``coef``.  The form is canonical (the keys of ``coef`` lie in
 ``tgt``, and no stored weight is 0 or 1), so equality and hash compare the
 two maps.  A result with two entries in one column (a sum whose operands
 send a column to different rows, or the adjoint of a map that is not
@@ -73,7 +74,13 @@ from .sft import ZeroOneMatrix, enumerate_words, word_str
 
 
 class FockBasis:
-    """Ordered basis of the truncated restricted Fock space."""
+    """Ordered basis of the truncated restricted Fock space.
+
+    ``words`` lists the basis in order, so position j holds ``words[j]``; the
+    library reads it for the letter lists, the sector bounds and the words
+    of rendered defects.  No word is looked up by value: operators are
+    indexed arithmetically (module docstring).
+    """
 
     def __init__(self, matrix: ZeroOneMatrix, m_max: int):
         if m_max < 1:
@@ -99,11 +106,6 @@ class FockBasis:
         """The basis positions 0, 1, ..., one int object each, from which every
         operator on this basis draws its columns and rows."""
         return list(range(self.size))
-
-    @cached_property
-    def index(self) -> dict:
-        """Word -> basis position, built on first use (no operator needs it)."""
-        return {w: i for i, w in enumerate(self.words)}
 
     @property
     def size(self) -> int:
@@ -138,11 +140,6 @@ class FockOperator:
     def valid_up_to(self) -> int:
         """Columns of words of length <= valid_up_to are exact."""
         return max(self.basis.m_max - self.raise_len, -1)
-
-    @property
-    def adj_valid(self) -> int:
-        """``valid_up_to`` of the adjoint."""
-        return max(self.basis.m_max - self.lower_len, -1)
 
     @property
     def cols(self) -> dict:
@@ -248,11 +245,6 @@ class FockOperator:
 
 def zero(basis: FockBasis) -> FockOperator:
     return FockOperator(basis, {}, {}, 0, 0)
-
-
-def identity(basis: FockBasis) -> FockOperator:
-    every = basis.positions
-    return FockOperator(basis, dict(zip(every, every)), {}, 0, 0)
 
 
 def vacuum_projection(basis: FockBasis) -> FockOperator:

@@ -99,9 +99,6 @@ class ZeroOneMatrix:
     def to_json(self) -> dict:
         return {"n": self.n, "rows": [list(r) for r in self.rows]}
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
-
 
 def validate_matrix(raw) -> ZeroOneMatrix:
     """Validate a raw integer matrix as a defining matrix.
@@ -186,10 +183,6 @@ def satisfies_cantor_condition(a: ZeroOneMatrix) -> bool:
     reported False (unsupported) rather than analyzed further.
     """
     return is_irreducible(a) and not _is_permutation(a)
-
-
-def is_admissible(a: ZeroOneMatrix, word) -> bool:
-    return all(a.entry(word[i], word[i + 1]) == 1 for i in range(len(word) - 1))
 
 
 def _join(left, right, succ) -> list:

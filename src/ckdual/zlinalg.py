@@ -30,14 +30,6 @@ class IntMatrix:
             raise ValueError("ragged rows")
         return cls(len(data), ncols, data)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(map(tuple, _identity_lists(n))))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
 
@@ -45,17 +37,6 @@ class IntMatrix:
         # zip of no rows yields no columns, so a 0 x c matrix needs its c empty rows
         entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
         return IntMatrix(self.cols, self.rows, entries)
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                row.append(sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols)))
-            out.append(tuple(row))
-        return IntMatrix(self.rows, other.cols, tuple(out))
 
     def to_lists(self) -> list:
         return [list(r) for r in self.entries]
@@ -115,20 +96,6 @@ class FGAbelianGroup:
             if d % prev != 0:
                 raise ValueError("torsion factors must form a divisibility chain")
             prev = d
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
-    def order(self) -> int:
-        if not self.is_finite():
-            raise ValueError("infinite group has no order")
-        o = 1
-        for d in self.torsion:
-            o *= d
-        return o
 
     def to_json(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}

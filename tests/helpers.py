@@ -1,13 +1,15 @@
-"""Shared fixtures: matrix families and random generators (the word-model
-oracle is in ``oracles``)."""
+"""Shared fixtures: matrix families, random generators, and the constructors
+that only tests build with (the word-model oracle is in ``oracles``)."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from ckdual import ckalg
+from ckdual import ckalg, duality
+from ckdual.fock import FockBasis, FockOperator
 from ckdual.sft import ZeroOneMatrix, enumerate_words, validate_matrix
+from ckdual.zlinalg import IntMatrix
 
 
 def ones(n: int) -> ZeroOneMatrix:
@@ -141,5 +143,76 @@ def random_ck(rng: random.Random, tag: ckalg.AlgebraTag, max_terms: int = 3, max
     for _ in range(rng.randint(1, max_terms)):
         mu = random_word(rng, tag.matrix, max_len)
         nu = random_word(rng, tag.matrix, max_len)
-        x = x + ckalg.ck_monomial(tag, mu, nu, rng.choice(coeffs))
+        x = x + ck_monomial(tag, mu, nu, rng.choice(coeffs))
     return x
+
+
+# ---------------------------------------------------------------------------
+# constructors that no CLI command needs
+
+
+def is_admissible(a: ZeroOneMatrix, word) -> bool:
+    """Every two consecutive letters of the word are an edge of A (read
+    through ``entry``)."""
+    return all(a.entry(u, v) for u, v in zip(word, word[1:]))
+
+
+def ck_monomial(tag: ckalg.AlgebraTag, mu, nu, coeff=1) -> ckalg.TensorElement:
+    """coeff * s_mu s_nu* with 0-based admissible words."""
+    mu, nu = tuple(mu), tuple(nu)
+    assert all(is_admissible(tag.matrix, w) for w in (mu, nu)), (mu, nu)
+    return ckalg.tensor_elem((tag,), ((mu, nu),), coeff)
+
+
+def z_power(factors, pos: int, d: int, coeff=1) -> ckalg.TensorElement:
+    """coeff * z^d in the circle factor at ``pos``: the pair (0^d, ()) of
+    O_[1] for d >= 0, and ((), 0^-d) for d < 0."""
+    key = ((0,) * d, ()) if d >= 0 else ((), (0,) * -d)
+    return ckalg.embed_ck(factors, pos, ckalg.tensor_elem((ckalg.LAURENT,), (key,), coeff))
+
+
+def forget_grading(x: ckalg.TensorElement) -> ckalg.TensorElement:
+    """Evaluation z -> 1 on O_A (x) C(S^1): the circle factor collapsed."""
+    out = {}
+    for (pair, _z), c in x.terms.items():
+        out[(pair,)] = out.get((pair,), 0) + c
+    return ckalg.TensorElement(x.factors[:1], out)
+
+
+def verify_w(a: ZeroOneMatrix) -> bool:
+    """w*w = ww* = sum_{i,j} A[i][j] s_j s_j* (x) t_i t_i*."""
+    w, p = ckalg.w_element(a), ckalg.w_range_projection(a)
+    return (ckalg.tensor_equal(ckalg.ck_multiply(w.adjoint(), w), p)
+            and ckalg.tensor_equal(ckalg.ck_multiply(w, w.adjoint()), p))
+
+
+def fock_identity(basis: FockBasis) -> FockOperator:
+    """The identity operator on the basis."""
+    every = basis.positions
+    return FockOperator(basis, dict(zip(every, every)), {}, 0, 0)
+
+
+def hybrid_unit(basis: FockBasis) -> duality.HybridElement:
+    """I (x) 1, with the quotient image 1 (x) 1."""
+    a = basis.matrix
+    return duality.hybrid(basis, [(fock_identity(basis), ckalg.ck_unit(ckalg.o_a(a)))],
+                          [ckalg.tensor_unit((ckalg.o_a(a), ckalg.o_at(a)))])
+
+
+def basis_words(b: FockBasis) -> list:
+    """The words of the basis in order, enumerated afresh: independent of the
+    basis's own ranking."""
+    return enumerate_words(b.matrix, 0, b.m_max)
+
+
+def word_positions(b: FockBasis) -> dict:
+    """Word -> basis position, read off ``basis_words``."""
+    return {w: i for i, w in enumerate(basis_words(b))}
+
+
+def zero_matrix(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(rows, cols, ((0,) * cols,) * rows)
+
+
+def identity_matrix(n: int) -> IntMatrix:
+    return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])

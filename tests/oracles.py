@@ -14,6 +14,9 @@ The oracle wrappers below compare the word model with the symbolic layer,
 and ``orbit_spans`` checks that the creation operators reach the whole
 truncated basis.
 
+``matmul`` multiplies two integer matrices entry by entry, the check of
+U M V = S for the Smith form.
+
 ``one_minus`` is the dense 1 - A, the unreduced presentation that
 ``ktheory`` amalgamates away.  It too reads adjacency through ``entry``
 alone and calls nothing in ``ckdual.ktheory``, which ``test_oracles.py``
@@ -87,6 +90,15 @@ def one_minus(a: ZeroOneMatrix) -> IntMatrix:
     """The dense 1 - A, entry by entry."""
     n = a.n
     return IntMatrix.from_rows([[int(i == j) - a.entry(i, j) for j in range(n)] for i in range(n)])
+
+
+def matmul(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+    """The product x y, entry by entry."""
+    if x.cols != y.rows:
+        raise ValueError("dimension mismatch")
+    return IntMatrix(x.rows, y.cols, tuple(
+        tuple(sum(x.entries[i][k] * y.entries[k][j] for k in range(x.cols)) for j in range(y.cols))
+        for i in range(x.rows)))
 
 
 # ---------------------------------------------------------------------------

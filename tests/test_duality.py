@@ -11,7 +11,6 @@ from ckdual.duality import (
     hybrid,
     hybrid_defects,
     hybrid_mul,
-    hybrid_unit,
     hybrid_zero,
     left_creation_tensor_unit,
     quotient_image,
@@ -21,10 +20,21 @@ from ckdual.duality import (
     verify_lemmas,
     verify_toeplitz_untwist,
 )
-from ckdual.fock import FockBasis, build_creation, identity, vacuum_projection
+from ckdual.fock import FockBasis, build_creation, vacuum_projection
 from ckdual.sft import word_str
 
-from helpers import CHORD3, FIB, MIXED4, all_valid_matrices, ones, random_ck, relation_family
+from helpers import (
+    CHORD3,
+    FIB,
+    MIXED4,
+    all_valid_matrices,
+    basis_words,
+    fock_identity,
+    hybrid_unit,
+    ones,
+    random_ck,
+    relation_family,
+)
 
 
 def one_letter():
@@ -388,6 +398,7 @@ def _dense_defects(x, y):
     the shared valid domain at a time, with ``ck_is_zero`` on each entry."""
     basis = x.basis
     zero = ckalg.tensor_zero((ckalg.o_a(basis.matrix),))
+    words = basis_words(basis)
     valid = min(x.valid_up_to, y.valid_up_to)
     terms = [(op.cols, ck.scale(sign)) for sign, side in ((1, x), (-1, y)) for op, ck in side.terms]
     defects = []
@@ -396,10 +407,10 @@ def _dense_defects(x, y):
         for cols, ck in terms:
             for i, v in cols.get(j, {}).items():
                 col[i] = col.get(i, zero) + ck.scale(v)
-        entries = tuple((word_str(basis.words[i]), str(e))
+        entries = tuple((word_str(words[i]), str(e))
                         for i, e in sorted(col.items()) if not ckalg.ck_is_zero(e))
         if entries:
-            w = basis.words[j]
+            w = words[j]
             defects.append(DefectColumn(word_str(w), len(w), entries))
     return valid, tuple(defects)
 
@@ -411,7 +422,7 @@ def test_defect_scan_matches_dense_reference():
         tag = ckalg.o_a(a)
         for m in range(1, 6):
             b = FockBasis(a, m)
-            atoms = [identity(b), vacuum_projection(b)]
+            atoms = [fock_identity(b), vacuum_projection(b)]
             for k in range(1, a.n + 1):
                 for side in ("left", "right"):
                     op = build_creation(b, side, k)
@@ -433,7 +444,7 @@ def test_defect_scan_matches_dense_reference():
                 # term of its own
                 y_pairs = []
                 for op, ck in pairs:
-                    op = identity(b) @ op
+                    op = fock_identity(b) @ op
                     if rng.random() < 0.3:
                         part = random_ck(rng, tag, 1, 2)
                         y_pairs += [(op, part), (op, ck - part)]

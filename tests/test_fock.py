@@ -15,23 +15,27 @@ from ckdual.fock import (
     RelationDefect,
     build_creation,
     creation_relations,
-    identity,
     rotation_operator,
     vacuum_projection,
     verify_creation_relations,
     verify_relation,
     zero,
 )
-from ckdual.sft import enumerate_words, is_admissible, word_str
+from ckdual.sft import enumerate_words, word_str
 
 from helpers import (
     CHORD3,
     FIB,
     MIXED4,
     all_valid_matrices,
+    basis_words,
+    ck_monomial,
+    fock_identity,
+    is_admissible,
     ones,
     random_valid_matrix,
     relation_family,
+    word_positions,
 )
 from oracles import ck_action_on_word, orbit_spans, pair_action_on_word
 
@@ -46,7 +50,7 @@ def test_basis_order_and_index():
     assert b.words[1:3] == [(0,), (1,)]
     lengths = [len(w) for w in b.words]
     assert lengths == sorted(lengths)
-    assert all(b.index[w] == i for i, w in enumerate(b.words))
+    assert b.words == enumerate_words(FIB, 0, 3)
 
 
 def test_basis_enumerates_its_words_in_one_call(monkeypatch):
@@ -81,27 +85,30 @@ def test_basis_words_and_sectors_are_the_per_length_lists():
 
 def test_creation_vacuum_rule():
     b = basis(ones(2))
+    position = word_positions(b)
     for side in ("left", "right"):
         op = build_creation(b, side, 1)
-        assert op.column(0) == {b.index[(0,)]: 1}
+        assert op.column(0) == {position[(0,)]: 1}
 
 
 def test_creation_examples():
     b = basis(FIB)
     l2 = build_creation(b, "left", 2)
-    assert l2.column(b.index[(1,)]) == {}  # A[2][2] = 0
+    assert l2.column(word_positions(b)[(1,)]) == {}  # A[2][2] = 0
     b2 = basis(ones(2))
+    position = word_positions(b2)
     r2 = build_creation(b2, "right", 2)
-    assert r2.column(b2.index[(0,)]) == {b2.index[(0, 1)]: 1}
+    assert r2.column(position[(0,)]) == {position[(0, 1)]: 1}
 
 
 def test_adjoint_examples():
     b = basis(ones(2))
+    position = word_positions(b)
     l1 = build_creation(b, "left", 1)
-    assert l1.adjoint().column(b.index[(0,)]) == {0: 1}  # L1* xi_1 = vacuum
-    assert l1.adjoint().column(b.index[(1, 0)]) == {}  # first letter is 2
+    assert l1.adjoint().column(position[(0,)]) == {0: 1}  # L1* xi_1 = vacuum
+    assert l1.adjoint().column(position[(1, 0)]) == {}  # first letter is 2
     r2 = build_creation(b, "right", 2)
-    assert r2.adjoint().column(b.index[(0, 1)]) == {b.index[(0,)]: 1}
+    assert r2.adjoint().column(position[(0, 1)]) == {position[(0,)]: 1}
 
 
 def test_adjoint_is_delta_not_matrix_coefficient():
@@ -110,10 +117,11 @@ def test_adjoint_is_delta_not_matrix_coefficient():
     b = basis(FIB)
     l1 = build_creation(b, "left", 1)
     # adjoint pairing: column w maps to w[1:] exactly when w starts with 1
-    for j, w in enumerate(b.words):
+    position = word_positions(b)
+    for w, j in position.items():
         col = l1.adjoint().column(j)
         if w and w[0] == 0:
-            assert col == {b.index[w[1:]]: 1}
+            assert col == {position[w[1:]]: 1}
         else:
             assert col == {}
 
@@ -130,8 +138,8 @@ def test_valid_up_to_bookkeeping():
     assert (l1 @ l1.adjoint() + vacuum_projection(b)).valid_up_to == 3
     assert l1.adjoint().adjoint().valid_up_to == 3
     deep = l1 @ l1 @ l1 @ l1 @ l1 @ l1  # raises length by 6 > m_max: clamped
-    assert deep.valid_up_to == -1 and deep.adjoint().adj_valid == -1
-    assert deep.adj_valid == deep.adjoint().valid_up_to == 4
+    assert deep.valid_up_to == -1 and deep.adjoint().adjoint().valid_up_to == -1
+    assert _adj_valid(deep) == deep.adjoint().valid_up_to == 4
 
 
 def test_equal_operators_hash_equal():
@@ -168,12 +176,12 @@ def test_creation_targets_match_word_positions():
     for a in all_valid_matrices(2) + all_valid_matrices(3):
         for m in range(2, 7):
             b = FockBasis(a, m)
-            position = {w: i for i, w in enumerate(b.words)}  # b.words.index, in O(1)
+            words, position = basis_words(b), word_positions(b)
             assert len(position) == b.size
             for side in ("left", "right"):
                 for k0 in range(a.n):
                     expected = {}
-                    for j, w in enumerate(b.words[:b.end_of_length(m - 1)]):
+                    for j, w in enumerate(words[:b.end_of_length(m - 1)]):
                         new = (k0,) + w if side == "left" else w + (k0,)
                         if is_admissible(a, new):
                             expected[j] = {position[new]: 1}
@@ -199,6 +207,7 @@ def test_relations_i_to_iii_hold_on_family():
 def test_relation_iv_defect_structure():
     for a in relation_family():
         b = FockBasis(a, 4)
+        words, position = basis_words(b), word_positions(b)
         p = vacuum_projection(b)
         for k in range(a.n):
             lk = build_creation(b, "left", k + 1)
@@ -211,12 +220,12 @@ def test_relation_iv_defect_structure():
                     assert rep.holds
                 else:
                     # brute-force oracle: the defect is (A[k][l]-1)|xi_l><xi_k|
-                    expected = {b.index[(k,)]: {b.index[(l,)]: a.entry(k, l) - 1}}
+                    expected = {position[(k,)]: {position[(l,)]: a.entry(k, l) - 1}}
                     diff = lhs - rhs
                     got = {
                         j: col
                         for j, col in diff.cols.items()
-                        if len(b.words[j]) <= rep.valid_up_to
+                        if len(words[j]) <= rep.valid_up_to
                     }
                     assert got == expected
                     assert not rep.holds
@@ -333,6 +342,12 @@ _OPERATION = {
 }
 
 
+def _adj_valid(x):
+    """``valid_up_to`` of the adjoint, also of a map that is not injective:
+    ``upto(-1)`` drops every column and keeps the bounds."""
+    return x.upto(-1).adjoint().valid_up_to
+
+
 def _bounds(valid, adj, up, down):
     """Reference (valid_up_to, adj_valid, raise_len, lower_len), clamped at -1."""
     return (max(valid, -1), max(adj, -1), up, down)
@@ -368,7 +383,7 @@ def _operator_pool(a, m):
     fold = gens[0].adjoint() + gens[1].adjoint()
     gen, flat = _bounds(m - 1, m, 1, 0), _bounds(m, m, 0, 0)
     gen_star = _bounds_adjoint(gen)
-    ops = gens + [g.adjoint() for g in gens] + [vacuum_projection(b), identity(b), zero(b), fold]
+    ops = gens + [g.adjoint() for g in gens] + [vacuum_projection(b), fock_identity(b), zero(b), fold]
     bounds = [gen] * len(gens) + [gen_star] * len(gens) + [flat] * 3 + [_bounds_sum(gen_star, gen_star)]
     return ops, bounds
 
@@ -387,7 +402,7 @@ def test_operations_match_dict_of_dicts_reference(a, m, steps):
     pool, bounds = _operator_pool(a, m)
     refs = [copy.deepcopy(op.cols) for op in pool]
     for op, bound in zip(pool, bounds):
-        assert (op.valid_up_to, op.adj_valid, op.raise_len, op.lower_len) == bound
+        assert (op.valid_up_to, _adj_valid(op), op.raise_len, op.lower_len) == bound
     for kind, i, j, c in steps:
         i, j = i % len(pool), j % len(pool)
         ref = _REFERENCE[kind](refs[i], refs[j], c)
@@ -400,7 +415,7 @@ def test_operations_match_dict_of_dicts_reference(a, m, steps):
         got = _OPERATION[kind](pool[i], pool[j], c)
         bound = _BOUNDS[kind](bounds[i], bounds[j])
         assert got.cols == ref, (kind, i, j, c)
-        assert (got.valid_up_to, got.adj_valid, got.raise_len, got.lower_len) == bound
+        assert (got.valid_up_to, _adj_valid(got), got.raise_len, got.lower_len) == bound
         for op, op_ref in zip(pool, refs):
             assert (got == op) == (ref == op_ref)
             if ref == op_ref:
@@ -416,12 +431,12 @@ def test_operations_match_dict_of_dicts_reference(a, m, steps):
 
 def _word_model_generators(b):
     """Dense {column: {row: 1}} of L_1..L_n, R_1..R_n, computed from the words."""
-    a, position = b.matrix, {w: i for i, w in enumerate(b.words)}
+    a, position = b.matrix, word_positions(b)
     out = []
     for side in ("left", "right"):
         for k0 in range(a.n):
             cols = {}
-            for j, w in enumerate(b.words):
+            for w, j in position.items():
                 new = (k0,) + w if side == "left" else w + (k0,)
                 if new in position and is_admissible(a, new):
                     cols[j] = {position[new]: 1}
@@ -443,10 +458,11 @@ def test_every_expression_keeps_the_canonical_form():
     for a in SMALL:
         for m in range(2, 5):
             b = FockBasis(a, m)
+            words = basis_words(b)
             gens = [build_creation(b, side, k) for side in ("left", "right")
                     for k in range(1, a.n + 1)]
             gen_refs = _word_model_generators(b)
-            pool = gens + [g.adjoint() for g in gens] + [vacuum_projection(b), identity(b)]
+            pool = gens + [g.adjoint() for g in gens] + [vacuum_projection(b), fock_identity(b)]
             refs = gen_refs + [_ref_adjoint(r) for r in gen_refs]
             refs += [{0: {0: 1}}, {j: {j: 1} for j in range(b.size)}]
             for x, ref in zip(pool, refs):
@@ -459,7 +475,7 @@ def test_every_expression_keeps_the_canonical_form():
                 c, d = rng.choice((-2, -1, 1, 2)), rng.randrange(-1, m + 1)
                 x, y = pool[i], pool[j]
                 if kind == "upto":
-                    ref = {col: e for col, e in refs[i].items() if len(b.words[col]) <= d}
+                    ref = {col: e for col, e in refs[i].items() if len(words[col]) <= d}
                 else:
                     ref = _REFERENCE[kind](refs[i], refs[j], c)
                 if any(len(e) > 1 for e in ref.values()):
@@ -476,7 +492,7 @@ def test_weights_cancelling_to_one_give_the_unit_operator():
             b = FockBasis(a, m)
             ls = [build_creation(b, "left", k) for k in range(1, a.n + 1)]
             rs = [build_creation(b, "right", k) for k in range(1, a.n + 1)]
-            p, one, y = vacuum_projection(b), identity(b), ls[-1].adjoint()
+            p, one, y = vacuum_projection(b), fock_identity(b), ls[-1].adjoint()
             units = [ls[0], rs[-1], ls[0].adjoint(), ls[0] @ rs[-1].adjoint(), p, one]
             for x in units:
                 cancelled = [
@@ -510,7 +526,7 @@ def test_operators_share_the_basis_position_integers():
         gens[0] @ adjoints[0],
         gens[0] @ adjoints[0] + gens[4] @ adjoints[4],
         adjoints[2].upto(3),
-        identity(b),
+        fock_identity(b),
     ]
     for x in ops:
         assert x.tgt
@@ -519,13 +535,13 @@ def test_operators_share_the_basis_position_integers():
 
 def _reference_defects(lhs, rhs):
     # the former construction: walk the columns of lhs - rhs in the valid domain
-    b = lhs.basis
+    words = basis_words(lhs.basis)
     valid = min(lhs.valid_up_to, rhs.valid_up_to)
     out = []
     for j, col in sorted((lhs - rhs).cols.items()):
-        w = b.words[j]
+        w = words[j]
         if len(w) <= valid:
-            delta = tuple((word_str(b.words[i]), v) for i, v in sorted(col.items()))
+            delta = tuple((word_str(words[i]), v) for i, v in sorted(col.items()))
             out.append(RelationDefect(word_str(w), len(w), delta))
     return tuple(out)
 
@@ -614,14 +630,16 @@ def _uncompressed_relations(b):
 
 
 def _cols_upto(x, m):
-    return {j: col for j, col in x.cols.items() if len(x.basis.words[j]) <= m}
+    words = basis_words(x.basis)
+    return {j: col for j, col in x.cols.items() if len(words[j]) <= m}
 
 
 def test_basis_letter_lists():
     for a in (FIB, MIXED4):
         b = FockBasis(a, 4)
-        assert b.first_letters == [w[0] for w in b.words[1:]]
-        assert b.last_letters == [w[-1] for w in b.words[1:]]
+        words = basis_words(b)
+        assert b.first_letters == [w[0] for w in words[1:]]
+        assert b.last_letters == [w[-1] for w in words[1:]]
         assert b.first_letters is b.first_letters  # built once per basis
 
 
@@ -633,8 +651,8 @@ def test_upto_keeps_bounds_and_commutes_with_products():
             for d in range(-1, m + 2):
                 for x in pool:
                     xd = x.upto(d)
-                    assert (xd.raise_len, xd.lower_len, xd.valid_up_to, xd.adj_valid) == (
-                        x.raise_len, x.lower_len, x.valid_up_to, x.adj_valid)
+                    assert (xd.raise_len, xd.lower_len, xd.valid_up_to, _adj_valid(xd)) == (
+                        x.raise_len, x.lower_len, x.valid_up_to, _adj_valid(x))
                     assert xd.cols == _cols_upto(x, d)
                 for x, y in zip(pool, pool[3:] + pool[:3]):
                     assert x @ y.upto(d) == (x @ y).upto(d), (a, m, d)
@@ -676,7 +694,7 @@ def test_orbit_spans_family():
 def test_single_letter_reachability():
     b = basis(ones(2), 2)
     l1 = build_creation(b, "left", 1)
-    assert l1.column(0) == {b.index[(0,)]: 1}
+    assert l1.column(0) == {word_positions(b)[(0,)]: 1}
 
 
 def test_rotation_operator():
@@ -701,10 +719,11 @@ def test_rotation_operator():
 def test_rotation_rotates_words():
     b = basis(FIB, 4)
     x, _rep = rotation_operator(b)
+    position = word_positions(b)
     w = (0, 1)  # 12; rotation gives 21, allowed since A[2][1] = 1
-    assert x.column(b.index[w]) == {b.index[(1, 0)]: 1}
+    assert x.column(position[w]) == {position[(1, 0)]: 1}
     w = (1, 0)  # 21 -> 12 needs A[1][2] = 1
-    assert x.column(b.index[w]) == {b.index[(0, 1)]: 1}
+    assert x.column(position[w]) == {position[(0, 1)]: 1}
 
 
 def test_index_report_json_roundtrip():
@@ -723,27 +742,28 @@ def test_word_model_matches_truncated_matrices():
     b = basis(a, 5)
     tag = ckalg.o_a(a)
     elems = [
-        ckalg.ck_monomial(tag, (0, 1), (0,)),
-        ckalg.ck_monomial(tag, (), (1, 0)),
-        ckalg.ck_monomial(tag, (1,), (1,)),
+        ck_monomial(tag, (0, 1), (0,)),
+        ck_monomial(tag, (), (1, 0)),
+        ck_monomial(tag, (1,), (1,)),
     ]
     for x in elems:
         # build L_mu L_nu* from atoms: L_mu = L_{mu_1} ... L_{mu_m}
         op = zero(b)
         for ((mu, nu),), c in x.terms.items():
-            term = identity(b)
+            term = fock_identity(b)
             for k0 in mu:
                 term = term @ build_creation(b, "left", k0 + 1)
-            adj = identity(b)
+            adj = fock_identity(b)
             for k0 in nu:
                 adj = adj @ build_creation(b, "left", k0 + 1)
             term = term @ adj.adjoint()
             op = op + term.scale(int(c))
-        for j, w in enumerate(b.words):
+        position = word_positions(b)
+        for w, j in position.items():
             if len(w) > op.valid_up_to:
                 continue
             expected = {
-                b.index[img]: int(coeff)
+                position[img]: int(coeff)
                 for img, coeff in ck_action_on_word(x, w).items()
                 if len(img) <= b.m_max
             }

@@ -11,7 +11,6 @@ from ckdual.sft import (
     count_letters,
     count_words,
     enumerate_words,
-    is_admissible,
     is_aperiodic,
     is_irreducible,
     load_matrix,
@@ -22,7 +21,7 @@ from ckdual.sft import (
     word_str,
 )
 
-from helpers import FIB, IDENT2, SWAP, all_valid_matrices, ones, relation_family
+from helpers import FIB, IDENT2, SWAP, all_valid_matrices, is_admissible, ones, relation_family
 
 
 def test_validate_accepts_fibonacci_and_identity():
