@@ -27,10 +27,10 @@ Truncation is carried as on a ``FockOperator``: every element has
 ``raise_len`` and ``lower_len``, bounds over every operator it was built
 from, including terms that cancel in a sum or are empty after truncation, so
 ``valid_up_to = m_max - raise_len`` is sound for the element as written.
-Comparisons make one pass over the partial maps of both sides inside the
-shared valid domain, and every discrepancy is reported as a structured defect
-tagged with the column word and its length - a defect is a first-class
-output, not a failure of the engine.
+Comparisons make one pass over the partial maps of the difference of the
+two sides inside their shared valid domain, and every discrepancy is
+reported as a structured defect tagged with the column word and its length -
+a defect is a first-class output, not a failure of the engine.
 """
 
 from __future__ import annotations
@@ -136,14 +136,16 @@ def _pair_factors(basis: FockBasis):
 
 
 def hybrid_mul(x: HybridElement, y: HybridElement) -> HybridElement:
-    """xy; a pair whose image product is structurally zero leaves ``prov``."""
+    """xy.  A pair of terms whose symbolic product has no terms is skipped
+    before its Fock product is built, as the merge would drop it, and a pair
+    whose image product has no terms leaves ``prov``.  The bounds still add
+    over every pair."""
     x._compatible(y)
-    terms = [(op1 @ op2, ck1 * ck2) for op1, ck1 in x.terms for op2, ck2 in y.terms]
-    prov = None
-    if x.prov is not None and y.prov is not None:
-        products = ((ckalg.ck_multiply(q1, q2), ck1, ck2)
-                    for q1, ck1 in x.prov for q2, ck2 in y.prov)
-        prov = [(q, ck1 * ck2) for q, ck1, ck2 in products if q.terms]
+    terms = [(op1 @ op2, ck) for op1, ck1 in x.terms for op2, ck2 in y.terms
+             if (ck := ck1 * ck2).terms]
+    prov = None if x.prov is None or y.prov is None else [
+        (q, ck1 * ck2) for q1, ck1 in x.prov for q2, ck2 in y.prov
+        if (q := ckalg.ck_multiply(q1, q2)).terms]
     return HybridElement(x.basis, terms, prov, x.raise_len + y.raise_len,
                          x.lower_len + y.lower_len)
 
@@ -195,31 +197,25 @@ class DefectColumn:
 def hybrid_defects(x: HybridElement, y: HybridElement):
     """Columns of the shared valid domain where x and y differ; exact entries.
 
-    Both sides are summed by operator, x with sign +1 and y with -1, so no
-    difference element is built and a term that cancels between them is
-    never scanned.  One pass over the ``tgt``/``coef`` maps of the rest adds
-    each entry inside the domain; the touched entries are zero-tested and
-    rendered in basis order, columns first, then rows.
+    The scan reads the difference d = x - y, whose terms are merged by
+    operator with cancelled terms dropped, so a term that cancels between
+    the two sides is never scanned; its valid domain is the shared one.
+    One pass over the ``tgt``/``coef`` maps of its terms adds each entry
+    inside the domain; the touched entries are zero-tested and rendered in
+    basis order, columns first, then rows.
     """
-    x._compatible(y)
-    basis = x.basis
-    valid = min(x.valid_up_to, y.valid_up_to)
+    d = x - y
+    basis = d.basis
+    valid = d.valid_up_to
     end = basis.end_of_length(valid)
-    by_op = {}  # operator -> {key: coefficient} of x - y
-    for sign, side in ((1, x), (-1, y)):
-        for op, ck in side.terms:
-            acc = by_op.setdefault(op, {})
-            for key, c in ck.terms.items():
-                acc[key] = acc.get(key, 0) + sign * c
     # column -> [row, coefficient, symbolic coefficients, row, ...]: one flat
     # list per column, since every column of the domain is held at once
     diff = {}
-    for op, acc in by_op.items():
-        if any(acc.values()):
-            coef = op.coef
-            for j, i in op.tgt.items():
-                if j < end:
-                    diff.setdefault(j, []).extend((i, coef.get(j, 1), acc))
+    for op, ck in d.terms:
+        coef, acc = op.coef, ck.terms
+        for j, i in op.tgt.items():
+            if j < end:
+                diff.setdefault(j, []).extend((i, coef.get(j, 1), acc))
     factors = (ckalg.o_a(basis.matrix),)
     defects = []
     for j in sorted(diff):

@@ -195,19 +195,11 @@ class FockOperator:
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         self._same_basis(other)
-        atgt, acoef, bcoef = self.tgt, self.coef, other.coef
+        atgt, btgt, acoef, bcoef = self.tgt, other.tgt, self.coef, other.coef
+        tgt = {j: i for j, mid in btgt.items() if (i := atgt.get(mid)) is not None}
+        coef = {}
         if acoef or bcoef:
-            tgt, coef = {}, {}
-            for j, mid in other.tgt.items():
-                i = atgt.get(mid)
-                if i is not None:
-                    tgt[j] = i
-                    v = acoef.get(mid, 1) * bcoef.get(j, 1)
-                    if v != 1:
-                        coef[j] = v
-        else:
-            tgt = {j: i for j, mid in other.tgt.items() if (i := atgt.get(mid)) is not None}
-            coef = {}
+            coef = {j: v for j in tgt if (v := acoef.get(btgt[j], 1) * bcoef.get(j, 1)) != 1}
         return FockOperator(self.basis, tgt, coef, self.raise_len + other.raise_len,
                             self.lower_len + other.lower_len)
 

@@ -8,9 +8,10 @@ lives here.
 
 Every layer reads adjacency through the two cached views of
 ``ZeroOneMatrix``: ``succ[i]``, the letters that may follow i, and
-``pred[j]``, the letters that j may follow, both ascending; 1 - A reads
-``succ`` too, and its amalgamation both.  ``rows`` and ``entry`` serve only single-edge tests and the
-matrix echo; only this module knows how the rows are stored.
+``pred[j]``, the letters that j may follow, both ascending; 1 - A and its
+amalgamation read ``succ`` alone.  ``rows`` and ``entry`` serve only
+single-edge tests and the matrix echo; only this module knows how the rows
+are stored.
 
 Letters are 0-based in all in-memory words and 1-based in every rendered
 report, matching the usual generator labels s_1, ..., s_n.
