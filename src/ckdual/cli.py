@@ -171,7 +171,7 @@ def cmd_fock_verify(args) -> int:
             else:
                 print(f"{r.relation}: DEFECT ({len(r.defects)} column(s))")
                 for d in r.defects:
-                    delta = ", ".join(f"{w or 'Ω'}: {v:+d}" for w, v in d.delta)
+                    delta = ", ".join(f"{w or 'Ω'}: {v:+d}" for w, v in d.entries)
                     print(f"  column {d.column or 'Ω'} -> {delta}")
     return EXIT_OK if all(r.holds for r in reports) else EXIT_DEFECTS
 

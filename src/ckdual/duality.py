@@ -29,8 +29,9 @@ from, including terms that cancel in a sum or are empty after truncation, so
 ``valid_up_to = m_max - raise_len`` is sound for the element as written.
 Comparisons make one pass over the partial maps of the difference of the
 two sides inside their shared valid domain, and every discrepancy is
-reported as a structured defect tagged with the column word and its length -
-a defect is a first-class output, not a failure of the engine.
+reported as a ``fock.DefectColumn`` whose entries are rendered symbolic
+factors - a defect is a first-class output, not a failure of the engine.
+Words are rendered in ``ckdual.fock``; this module handles basis positions.
 """
 
 from __future__ import annotations
@@ -39,12 +40,7 @@ from dataclasses import dataclass, field
 
 from . import ckalg
 from .ckalg import TensorElement, ck_is_zero, ck_unit
-from .fock import FockBasis, build_creation, vacuum_projection
-from .sft import word_str
-
-
-class BasisMismatchError(ValueError):
-    pass
+from .fock import BasisMismatchError, FockBasis, build_creation, defect_column, vacuum_projection
 
 
 class HybridElement:
@@ -180,20 +176,6 @@ def hybrid_zero(basis: FockBasis) -> HybridElement:
 # defect scan
 
 
-@dataclass(frozen=True)
-class DefectColumn:
-    column: str
-    length: int
-    entries: tuple  # ((row word string, rendered symbolic factor), ...)
-
-    def to_json(self) -> dict:
-        return {
-            "column": self.column,
-            "length": self.length,
-            "entries": {w: s for w, s in self.entries},
-        }
-
-
 def hybrid_defects(x: HybridElement, y: HybridElement):
     """Columns of the shared valid domain where x and y differ; exact entries.
 
@@ -202,7 +184,8 @@ def hybrid_defects(x: HybridElement, y: HybridElement):
     the two sides is never scanned; its valid domain is the shared one.
     One pass over the ``tgt``/``coef`` maps of its terms adds each entry
     inside the domain; the touched entries are zero-tested and rendered in
-    basis order, columns first, then rows.
+    basis order, columns first, then rows, as ``fock.DefectColumn`` values
+    with the symbolic factor as a string.
     """
     d = x - y
     basis = d.basis
@@ -229,10 +212,9 @@ def hybrid_defects(x: HybridElement, y: HybridElement):
         for i in sorted(rows):
             entry = TensorElement(factors, rows[i])
             if not ck_is_zero(entry):
-                entries.append((word_str(basis.words[i]), str(entry)))
+                entries.append((i, str(entry)))
         if entries:
-            w = basis.words[j]
-            defects.append(DefectColumn(word_str(w), len(w), tuple(entries)))
+            defects.append(defect_column(basis, j, entries))
     return valid, tuple(defects)
 
 
@@ -274,7 +256,8 @@ class LemmaItem:
         out = {
             "id": self.item_id,
             "holds": self.holds,
-            "defects": [d.to_json() for d in self.defects],
+            "defects": [{"column": d.column, "length": d.length, "entries": dict(d.entries)}
+                        for d in self.defects],
         }
         if self.note:
             out["note"] = self.note
@@ -301,9 +284,9 @@ class LemmaReport:
         }
 
 
-def _hybrid_item(item_id: str, lhs: HybridElement, rhs: HybridElement, note: str = "") -> LemmaItem:
+def _hybrid_item(item_id: str, lhs: HybridElement, rhs: HybridElement) -> LemmaItem:
     _valid, defects = hybrid_defects(lhs, rhs)
-    return LemmaItem(item_id, not defects, defects, note)
+    return LemmaItem(item_id, not defects, defects)
 
 
 def _symbolic_item(item_id: str, lhs: TensorElement, rhs: TensorElement, note: str = "") -> LemmaItem:

@@ -26,6 +26,13 @@ the words of the relation's exact domain.  Q sits on the rightmost factor of
 every product (``x @ y.upto(d) == (x @ y).upto(d)``), so no product, sum or
 range projection builds a column the check does not read.
 
+Defects.  A ``DefectColumn`` is one column where two sides differ: its word,
+the word's length, and the (row word, value) pairs of the difference, with
+the value an int here and a rendered symbolic factor in the lemma checks of
+``ckdual.duality``.  ``defect_column`` builds one from basis positions; it
+and ``FockOperator``'s error messages are the only code that renders a
+basis word.  The reports write the columns to JSON, each in its own shape.
+
 Storage.  Every operator ckdual builds (the creation operators, their
 adjoints, the range projections, their products, and the sums in the
 relations and in the rotation X) sends each basis word to at most one word.
@@ -71,6 +78,10 @@ from itertools import chain, compress, islice
 from operator import itemgetter
 
 from .sft import ZeroOneMatrix, enumerate_words, word_str
+
+
+class BasisMismatchError(ValueError):
+    """Two operands of a product, sum or comparison live on different bases."""
 
 
 class FockBasis:
@@ -154,7 +165,7 @@ class FockOperator:
 
     def _same_basis(self, other):
         if self.basis is not other.basis:
-            raise ValueError("operators live on different bases")
+            raise BasisMismatchError("operators live on different bases")
 
     def _two_entries(self, what: str, j: int) -> ValueError:
         w = word_str(self.basis.words[j])
@@ -275,13 +286,18 @@ def build_creation(basis: FockBasis, side: str, k: int) -> FockOperator:
 
 
 @dataclass(frozen=True)
-class RelationDefect:
+class DefectColumn:
     column: str
     length: int
-    delta: tuple  # ((row word string, int), ...)
+    entries: tuple  # ((row word string, value), ...)
 
-    def to_json(self) -> dict:
-        return {"column": self.column, "delta": {w: v for w, v in self.delta}}
+
+def defect_column(basis: FockBasis, j: int, rows) -> DefectColumn:
+    """The defect at basis position j, with the (row position, value) pairs
+    ``rows`` rendered as (row word, value)."""
+    words = basis.words
+    w = words[j]
+    return DefectColumn(word_str(w), len(w), tuple((word_str(words[i]), v) for i, v in rows))
 
 
 @dataclass(frozen=True)
@@ -295,7 +311,7 @@ class RelationReport:
         return {
             "relation": self.relation,
             "holds": self.holds,
-            "defects": [d.to_json() for d in self.defects],
+            "defects": [{"column": d.column, "delta": dict(d.entries)} for d in self.defects],
         }
 
 
@@ -304,7 +320,8 @@ def verify_relation(relation: str, lhs: FockOperator, rhs: FockOperator) -> Rela
 
     Only the columns of either support inside the domain are visited; the
     exact delta is computed only for columns that differ, in basis order, so
-    no ``lhs - rhs`` operator is built.
+    no ``lhs - rhs`` operator is built.  Each side has at most one entry in
+    a column, and the two differ there, so no row of its delta is zero.
     """
     lhs._same_basis(rhs)
     basis = lhs.basis
@@ -320,9 +337,7 @@ def verify_relation(relation: str, lhs: FockOperator, rhs: FockOperator) -> Rela
         delta = lhs.column(j)
         for i, v in rhs.column(j).items():
             delta[i] = delta.get(i, 0) - v
-        w = basis.words[j]
-        rows = tuple((word_str(basis.words[i]), v) for i, v in sorted(delta.items()) if v)
-        defects.append(RelationDefect(word_str(w), len(w), rows))
+        defects.append(defect_column(basis, j, sorted(delta.items())))
     return RelationReport(relation, not defects, valid, tuple(defects))
 
 

@@ -6,7 +6,6 @@ import pytest
 from ckdual import ckalg
 from ckdual.duality import (
     BasisMismatchError,
-    DefectColumn,
     build_W,
     hybrid,
     hybrid_defects,
@@ -20,7 +19,7 @@ from ckdual.duality import (
     verify_lemmas,
     verify_toeplitz_untwist,
 )
-from ckdual.fock import FockBasis, build_creation, vacuum_projection
+from ckdual.fock import DefectColumn, FockBasis, build_creation, vacuum_projection
 from ckdual.sft import word_str
 
 from helpers import (

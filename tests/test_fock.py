@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from ckdual import ckalg, fock
 from ckdual.fock import (
+    BasisMismatchError,
     FockBasis,
     FockOperator,
-    RelationDefect,
+    DefectColumn,
     build_creation,
     creation_relations,
     rotation_operator,
@@ -286,6 +287,14 @@ def test_two_entries_in_a_column_raise():
         fold.adjoint()
 
 
+def test_operands_on_two_bases_raise_basis_mismatch():
+    l4 = build_creation(basis(FIB, 4), "left", 1)
+    l5 = build_creation(basis(FIB, 5), "left", 1)
+    for f in (operator.matmul, operator.add, lambda x, y: verify_relation("mixed", x, y)):
+        with pytest.raises(BasisMismatchError, match="operators live on different bases"):
+            f(l4, l5)
+
+
 # ---------------------------------------------------------------------------
 # operations against a plain dict-of-dicts reference
 
@@ -542,7 +551,7 @@ def _reference_defects(lhs, rhs):
         w = words[j]
         if len(w) <= valid:
             delta = tuple((word_str(words[i]), v) for i, v in sorted(col.items()))
-            out.append(RelationDefect(word_str(w), len(w), delta))
+            out.append(DefectColumn(word_str(w), len(w), delta))
     return tuple(out)
 
 
@@ -595,8 +604,8 @@ def test_truncation_stability_of_relations():
             assert rs.relation == rl.relation
             assert rs.holds == rl.holds
             # defects agree on the smaller shared valid domain
-            shared = {d.column: d.delta for d in rl.defects if d.length <= rs.valid_up_to}
-            assert {d.column: d.delta for d in rs.defects} == shared
+            shared = {d.column: d.entries for d in rl.defects if d.length <= rs.valid_up_to}
+            assert {d.column: d.entries for d in rs.defects} == shared
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ Matching is by name.  A method counts as named by an attribute read
 read (``module.name``).  Dunder methods run by syntax and are not checked.
 A method that shares its name with another attribute in use (``index`` with
 ``SectorIndex.index``) is out of this test's sight.
+
+The same parse holds basis words to ``fock``: no other module reads an
+attribute named ``words``.
 """
 
 import ast
@@ -133,6 +136,16 @@ def test_every_kept_name_still_exists_and_is_otherwise_unused():
     # the keep-list
     sources, bench = _read_tree()
     assert unused_names(sources, bench, keep={}) == sorted(f"ckalg.{name}" for name in KEEP)
+
+
+def test_only_fock_reads_basis_words():
+    # defect columns and error messages render words in ``fock``; every other
+    # module handles basis positions
+    sources, _bench = _read_tree()
+    readers = sorted({module for module, text in sources.items()
+                      for name, _line, attr in _references(ast.parse(text), strings=False)
+                      if attr and name == "words"})
+    assert [m for m in readers if m != "fock"] == []
 
 
 _MODULE = '''
