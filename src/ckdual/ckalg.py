@@ -33,6 +33,8 @@ from functools import lru_cache
 from .sft import ZeroOneMatrix, validate_matrix, word_str
 
 # Bound on the memoized zero-test verdicts; one lemma report needs far fewer.
+# A defect scan tests each distinct entry once, so the memo serves repeats
+# across scans and the quotient items, not repeats within one scan.
 _ZERO_TEST_CACHE_SIZE = 4096
 
 

@@ -28,15 +28,19 @@ Truncation is carried as on a ``FockOperator``: every element has
 from, including terms that cancel in a sum or are empty after truncation, so
 ``valid_up_to = m_max - raise_len`` is sound for the element as written.
 Comparisons make one pass over the partial maps of the difference of the
-two sides inside their shared valid domain, and every discrepancy is
-reported as a ``fock.DefectColumn`` whose entries are rendered symbolic
-factors - a defect is a first-class output, not a failure of the engine.
+two sides inside their shared valid domain; each distinct entry of that
+difference is zero-tested and rendered once per scan, however many cells
+hold it, and every discrepancy is reported as a ``fock.DefectColumn``
+whose entries are rendered symbolic factors - a defect is a first-class
+output, not a failure of the engine.
 Words are rendered in ``ckdual.fock``; this module handles basis positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from . import ckalg
 from .ckalg import TensorElement, ck_is_zero, ck_unit
@@ -182,40 +186,46 @@ def hybrid_defects(x: HybridElement, y: HybridElement):
     The scan reads the difference d = x - y, whose terms are merged by
     operator with cancelled terms dropped, so a term that cancels between
     the two sides is never scanned; its valid domain is the shared one.
-    One pass over the ``tgt``/``coef`` maps of its terms adds each entry
-    inside the domain; the touched entries are zero-tested and rendered in
-    basis order, columns first, then rows, as ``fock.DefectColumn`` values
-    with the symbolic factor as a string.
+    One pass over the ``tgt``/``coef`` maps of its terms keys each entry
+    inside the domain by the (term index, weight) pairs of the terms that
+    map its column to its row, in term order.  The entry is the sum of
+    weight times symbolic factor over those pairs, so the key determines
+    it, and each distinct key is summed, zero-tested and rendered once per
+    scan.  The nonzero entries are emitted in basis order, columns first,
+    then rows, as ``fock.DefectColumn`` values with the symbolic factor as
+    a string.
     """
     d = x - y
     basis = d.basis
     valid = d.valid_up_to
     end = basis.end_of_length(valid)
-    # column -> [row, coefficient, symbolic coefficients, row, ...]: one flat
-    # list per column, since every column of the domain is held at once
-    diff = {}
-    for op, ck in d.terms:
-        coef, acc = op.coef, ck.terms
+    terms, size = d.terms, basis.size
+    # cell j * size + i (column j, row i) -> key (term index, weight, ...);
+    # weight 1 shares one (t, 1) per term, so a one-term cell allocates no key
+    cells = {}
+    for t, (op, _ck) in enumerate(terms):
+        coef, unit = op.coef, (t, 1)
         for j, i in op.tgt.items():
             if j < end:
-                diff.setdefault(j, []).extend((i, coef.get(j, 1), acc))
+                w = coef.get(j)
+                cell = j * size + i
+                cells[cell] = cells.get(cell, ()) + (unit if w is None else (t, w))
     factors = (ckalg.o_a(basis.matrix),)
-    defects = []
-    for j in sorted(diff):
-        rows = {}  # row -> coefficients of the symbolic entry
-        flat = diff[j]
-        for i, v, acc in zip(flat[::3], flat[1::3], flat[2::3]):
-            entry = rows.setdefault(i, {})
-            for key, c in acc.items():
-                entry[key] = entry.get(key, 0) + c * v
-        entries = []
-        for i in sorted(rows):
-            entry = TensorElement(factors, rows[i])
-            if not ck_is_zero(entry):
-                entries.append((i, str(entry)))
-        if entries:
-            defects.append(defect_column(basis, j, entries))
-    return valid, tuple(defects)
+    rendered = {}  # key -> the rendered entry, "" when it is zero
+    nonzero = []  # (column, row, rendered entry) in basis order
+    for cell, key in sorted(cells.items()):
+        text = rendered.get(key)
+        if text is None:
+            entry = {}
+            for t, w in zip(key[::2], key[1::2]):
+                for k, c in terms[t][1].terms.items():
+                    entry[k] = entry.get(k, 0) + c * w
+            entry = TensorElement(factors, entry)
+            text = rendered[key] = "" if ck_is_zero(entry) else str(entry)
+        if text:
+            nonzero.append((*divmod(cell, size), text))
+    return valid, tuple(defect_column(basis, j, [(i, text) for _j, i, text in col])
+                        for j, col in groupby(nonzero, itemgetter(0)))
 
 
 # ---------------------------------------------------------------------------

@@ -94,11 +94,17 @@ FAMILIES = {
 # adjoints and 28 products: V_k 4, ranges 8, W*W 4, W*W V_k 2 per k (4,
 # as s_i s_i* s_j = 0 for i != j), V_k* V_k 4, WW* 2 and (W*W)^2 2.  Their
 # nonzero entries add up to 134 + 151 + 126.
+#
+# ``ckalg.is_zero_calls`` counts one zero test per distinct entry per defect
+# scan, not one per cell: the 20 scans (7 in W, 7 in V, 6 in toeplitz) hold
+# 13 + 22 + 16 distinct entries, and the 3 ``tensor_equal`` calls of the
+# quotient items (W i, V i(k=1), V i(k=2)) test one difference each.  A scan
+# that zero-tests every cell makes 123.
 EXACT_COUNTS = {
     "fock-relations": {"fock.adjoint_calls": 6, "fock.matmul_calls": 26,
                        "fock.matmul_nnz": 133},
     "hybrid-lemmas": {"fock.adjoint_calls": 14, "fock.matmul_calls": 98,
-                      "fock.matmul_nnz": 411},
+                      "fock.matmul_nnz": 411, "ckalg.is_zero_calls": 54},
 }
 
 

@@ -19,7 +19,7 @@ from ckdual.duality import (
     verify_lemmas,
     verify_toeplitz_untwist,
 )
-from ckdual.fock import DefectColumn, FockBasis, build_creation, vacuum_projection
+from ckdual.fock import DefectColumn, FockBasis, FockOperator, build_creation, vacuum_projection
 from ckdual.sft import word_str
 
 from helpers import (
@@ -461,3 +461,26 @@ def test_defect_scan_matches_dense_reference():
                     seen_defects += bool(got[1])
                     seen_clean += not got[1]
     assert seen_defects > 50 and seen_clean > 20, (seen_defects, seen_clean)
+
+
+def test_defect_scan_keys_entries_by_terms_and_weights():
+    """The scan renders each distinct entry once, keyed by the (term,
+    weight) pairs that reach it: cells with the same terms but other
+    weights, or the same weights on other terms, are other entries."""
+    b = FockBasis(ones(2), 2)  # words (), 1, 2, 11, 12, 21, 22
+    tag = ckalg.o_a(b.matrix)
+    s1, s2 = ckalg.ck_generator(tag, 1), ckalg.ck_generator(tag, 2)
+
+    def to_vacuum(j, k, weight_k):
+        """Columns j and k to the vacuum, with weight 1 at j and weight_k at k."""
+        return FockOperator(b, {j: 0, k: 0}, {} if weight_k == 1 else {k: weight_k}, 0, 0)
+
+    # columns 1 and 2 read the same two terms with weights (1, 1) and (1, -1),
+    # columns 3 and 4 the same weights on two other terms, with s_2 in place of s_1
+    x = hybrid(b, [(to_vacuum(1, 2, 1), s1), (to_vacuum(1, 2, -1), s1),
+                   (to_vacuum(3, 4, 1), s2), (to_vacuum(3, 4, -1), s2)])
+    assert len(x.terms) == 4
+    assert hybrid_defects(x, hybrid_zero(b)) == (2, (
+        DefectColumn("1", 1, (("", "2 s[1]"),)),
+        DefectColumn("11", 2, (("", "2 s[2]"),)),
+    ))
