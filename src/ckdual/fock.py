@@ -318,8 +318,12 @@ class RelationReport:
 def verify_relation(relation: str, lhs: FockOperator, rhs: FockOperator) -> RelationReport:
     """Compare two operators on the intersection of their valid domains.
 
-    Only the columns of either support inside the domain are visited; the
-    exact delta is computed only for columns that differ, in basis order, so
+    The columns that differ are those in the symmetric difference of the
+    two ``tgt`` item sets or of the two ``coef`` item sets, taken in C on
+    the dict item views.  The form is canonical (an absent weight is 1, and
+    ``coef`` keys lie in ``tgt``), so two columns with the same target
+    differ exactly where their stored weights do.  The exact delta is
+    computed only for those columns inside the domain, in basis order, so
     no ``lhs - rhs`` operator is built.  Each side has at most one entry in
     a column, and the two differ there, so no row of its delta is zero.
     """
@@ -327,13 +331,9 @@ def verify_relation(relation: str, lhs: FockOperator, rhs: FockOperator) -> Rela
     basis = lhs.basis
     valid = min(lhs.valid_up_to, rhs.valid_up_to)
     end = basis.end_of_length(valid)
-    lt, lc, rt, rc = lhs.tgt, lhs.coef, rhs.tgt, rhs.coef
-    differ = [j for j, i in lt.items()
-              if j < end and (rt.get(j) != i or rc.get(j, 1) != lc.get(j, 1))]
-    differ += [j for j in rt if j < end and j not in lt]
-    differ.sort()
+    changed = chain(lhs.tgt.items() ^ rhs.tgt.items(), lhs.coef.items() ^ rhs.coef.items())
     defects = []
-    for j in differ:
+    for j in sorted({j for j, _ in changed if j < end}):
         delta = lhs.column(j)
         for i, v in rhs.column(j).items():
             delta[i] = delta.get(i, 0) - v

@@ -28,11 +28,12 @@ never identifies them entrywise.
 A ``ktheory --duality`` report asks for a Smith form ten times (four per
 algebra in ``k_groups``, two in ``duality_report``; six through
 ``cokernel`` and four through ``kernel_basis``) but of only the two
-matrices of the amalgamated pair, 1 - B and 1 - B^T; the two-entry memo on
-``smith_normal_form`` makes that two eliminations, both transform-free.
-Only ``kernel_basis`` reads a transform (V, at the zero diagonal entries),
-so the transforms of a presentation are built, once, only when it is
-singular: det(1 - A) = 0.
+matrices of the amalgamated pair, 1 - B and 1 - B^T.  The two-entry memo on
+``smith_normal_form`` makes that two forms, and both read their S off one
+transform-free elimination, of one matrix of the pair: the Smith form of a
+transpose is the transposed Smith form.  Only ``kernel_basis`` reads a
+transform (V, at the zero diagonal entries), so the transforms of a
+presentation are built, once, only when it is singular: det(1 - A) = 0.
 """
 
 from __future__ import annotations
@@ -241,11 +242,15 @@ def duality_report(a: ZeroOneMatrix, pair: tuple | None = None) -> DualityReport
     off that one matrix.  So the two ``presentation_match_*`` flags are
     identities, true for every matrix, and the report states them rather
     than compares anything.  ``abstract_iso_cokernels`` compares the two
-    Smith forms computed here, but it is a theorem as well: a matrix and its
-    transpose have the same invariant factors.  So ``ckdual duality`` cannot
+    cokernels, but it is a stated identity as well: a matrix and its
+    transpose have the same invariant factors, and ``smith_normal_form``
+    reads the form of one of 1 - B, 1 - B^T off the elimination of the
+    other, so the two agree by construction.  So ``ckdual duality`` cannot
     exit 1.  The independent checks of the Smith form are its transform
-    postconditions and the invariance of K-theory under conjugacy
-    (higher-block presentations).
+    postconditions, the invariance of K-theory under conjugacy
+    (higher-block presentations), and the tier-1 property that separate
+    eliminations of a matrix and of its transpose give transposed forms
+    (``tests/test_zlinalg.py``).
     """
     pres, pres_t = presentation_pair(a) if pair is None else pair
     coker_a = cokernel(pres)

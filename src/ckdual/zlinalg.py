@@ -46,13 +46,14 @@ class IntMatrix:
 class SmithForm:
     """U * M * V = S with U, V unimodular and S diagonal with a divisibility chain.
 
-    S is computed when the form is built; U and V only when one of them is
-    first read, by one more elimination of M bordered by identities that
-    carry the transforms.  Both eliminations choose every operation from the
-    M block alone, so they run the same operations on it and the second one
-    reproduces S.  Equality and hash are the generated ones on (M, S), and
-    comparing two forms never builds a transform: U and V are functions of
-    M, so equal (M, S) means equal (U, S, V).
+    S is computed when the form is built, by ``smith_normal_form``; U and V
+    only when one of them is first read, by one more elimination of M
+    bordered by identities that carry the transforms.  That elimination's S
+    is S again: the Smith form is unique (``smith_normal_form``), whether S
+    came from M or, transposed, from M^T.  Equality and hash are the
+    generated ones on (M, S), and comparing two forms never builds a
+    transform: U and V are functions of M, so equal (M, S) means equal
+    (U, S, V).
     """
 
     M: IntMatrix
@@ -278,31 +279,61 @@ def _eliminate(m: IntMatrix, transforms: bool) -> tuple:
             IntMatrix(cols, cols, tuple(tuple(r[:cols]) for r in s[rows:])))
 
 
+@lru_cache(maxsize=1)
+def _transform_free_s(m: IntMatrix) -> IntMatrix:
+    """S of one transform-free elimination of m, the canonical member of its
+    transpose pair (``smith_normal_form``)."""
+    s, _, _ = _eliminate(m, False)
+    return s
+
+
 @lru_cache(maxsize=2)
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Diagonalize over Z by elementary (unimodular) row and column operations.
 
-    S is eliminated eagerly on the plain matrix; U and V are built when a
-    caller first reads one of them, by a second elimination of the same
-    matrix bordered by identities, which runs the same pivot sequence (see
+    S is eliminated eagerly, transform-free, and for only one matrix of each
+    transpose pair: the canonical one, whichever of m and m^T has the
+    smaller ``entries``.  The other one reads S transposed.  That is its
+    Smith form.  If U M V = S, then V^T M^T U^T = S^T, which is diagonal
+    with the same divisibility chain; and the Smith form is unique, since
+    d_1 ... d_i is the gcd of the i x i minors, and M^T has the minors of M.
+    U and V are built when a caller first reads one of them, by a second
+    elimination of the matrix itself bordered by identities (see
     ``SmithForm`` and ``_eliminate``), so they equal those of one
-    transform-carrying elimination bit for bit.  A K-theory report reads only diagonals, plus
-    V when a presentation is singular, so a nonsingular report never builds
-    a transform.
+    transform-carrying elimination bit for bit.  A K-theory report reads
+    only diagonals, plus V when a presentation is singular, so a
+    nonsingular report never builds a transform.
 
-    Memoised on the matrix's value, for the two most recent matrices.  A
-    K-theory report factors only the amalgamated pair 1 - B and 1 - B^T
+    Memoised twice.  The forms are memoised on the matrix's value, for the
+    two most recent matrices; the S of the canonical matrix is memoised for
+    the most recent pair (``_transform_free_s``).  A K-theory report
+    factors only the amalgamated pair 1 - B and 1 - B^T
     (``ktheory.presentation_pair``; B = A when no two rows or columns of A
     are equal), but asks for them ten times through ``cokernel`` and
     ``kernel_basis`` (four per algebra in ``k_groups`` and two in
-    ``duality_report``), so two entries turn ten eliminations into two.
-    Every caller of the same matrix gets the same ``SmithForm`` object,
+    ``duality_report``).  So the first memo turns ten requests into two
+    forms, and the second turns those two into one elimination.  Every
+    caller of the same matrix gets the same ``SmithForm`` object,
     transforms included once built; it and its ``IntMatrix`` fields are
     frozen and hold only tuples, so sharing it is safe.
-    ``smith_normal_form.__wrapped__`` runs a fresh elimination.
+    ``smith_normal_form.cache_clear()`` clears both memos.
+    ``smith_normal_form.__wrapped__`` builds a new form past the first memo
+    but reads S through the second; ``_eliminate(m, False)`` is a fresh
+    elimination.
     """
-    s, _, _ = _eliminate(m, False)
-    return SmithForm(m, s)
+    mt = m.transpose()
+    if m.entries <= mt.entries:
+        return SmithForm(m, _transform_free_s(m))
+    return SmithForm(m, _transform_free_s(mt).transpose())
+
+
+def _clear_smith_memos(clear_forms=smith_normal_form.cache_clear) -> None:
+    # the lru_cache's own cache_clear, bound before it is replaced below
+    clear_forms()
+    _transform_free_s.cache_clear()
+
+
+smith_normal_form.cache_clear = _clear_smith_memos
 
 
 def determinant(m: IntMatrix) -> int:

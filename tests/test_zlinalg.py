@@ -15,8 +15,8 @@ from ckdual.zlinalg import (
     smith_normal_form,
 )
 
-from helpers import identity_matrix, zero_matrix
-from oracles import matmul
+from helpers import all_valid_matrices, identity_matrix, zero_matrix
+from oracles import matmul, one_minus
 
 
 def check_smith(m: IntMatrix):
@@ -72,11 +72,12 @@ def test_snf_one_minus_all_ones_3x3():
 
 
 def test_snf_deterministic():
-    # two fresh eliminations: the memoised entry point would return one object twice
+    # two fresh eliminations each way: the memoised entry point would return one
+    # object twice, and ``__wrapped__`` would read S through the pair memo
     m = IntMatrix.from_rows([[6, 4, 2], [4, 8, 2], [2, 2, 10]])
-    a, b = smith_normal_form.__wrapped__(m), smith_normal_form.__wrapped__(m)
-    assert a is not b
-    assert (a.U, a.S, a.V) == (b.U, b.S, b.V)
+    a, b = _eliminate(m, True), _eliminate(m, True)
+    assert a == b and a[0] is not b[0]
+    assert _eliminate(m, False) == (a[0], None, None)
 
 
 def test_snf_rectangular():
@@ -137,6 +138,42 @@ def test_transforms_read_after_the_fact_fit_the_eager_diagonal(m):
     assert (snf.U, snf.V) == (u, v)
     assert matmul(matmul(snf.U, m), snf.V) == snf.S
     assert abs(determinant(snf.U)) == abs(determinant(snf.V)) == 1
+
+
+def _transposes_agree(m: IntMatrix) -> None:
+    """Two independent transform-free eliminations, of m and of m^T, give
+    Smith forms that are transposes of each other (they are unique)."""
+    s, _, _ = _eliminate(m, False)
+    st, _, _ = _eliminate(m.transpose(), False)
+    assert (st.rows, st.cols) == (m.cols, m.rows)
+    assert st == s.transpose()
+
+
+def test_transpose_eliminates_to_the_transposed_form_on_small_presentations():
+    # 1 - A for all valid 2 x 2 and 3 x 3 matrices, then non-square and empty shapes
+    for a in all_valid_matrices(2) + all_valid_matrices(3):
+        _transposes_agree(one_minus(a))
+    for rows in ([[2, 4, 6]], [[1, 2], [3, 4], [5, 6]], [[0, 3, 0, 0], [0, 0, 0, 6]]):
+        _transposes_agree(IntMatrix.from_rows(rows))
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 1)):
+        _transposes_agree(zero_matrix(rows, cols))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_int_matrices())
+def test_transpose_eliminates_to_the_transposed_form(m):
+    _transposes_agree(m)
+
+
+def test_memoised_transpose_reads_the_transposed_form():
+    # non-square, so a derived S that is not transposed has the wrong shape
+    m = IntMatrix.from_rows([[2, 4, 6], [0, 3, 9]])
+    mt = m.transpose()
+    smith_normal_form.cache_clear()
+    a, b = smith_normal_form(m), smith_normal_form(mt)
+    assert b.S == a.S.transpose()
+    assert (a.S, b.S) == (_eliminate(m, False)[0], _eliminate(mt, False)[0])
+    assert b.S.entries == ((1, 0), (0, 6), (0, 0))
 
 
 def test_comparing_smith_forms_builds_no_transform():
