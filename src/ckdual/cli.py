@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Subcommands: validate, words, ktheory, duality, fock-verify, lemma-verify,
-pairing.  Exit codes: 0 = all requested checks hold, 1 = checks ran and
-defects were found, 2 = input error, 3 = internal error (an unexpected
-exception; its traceback goes to stderr).  Finding defects is a success mode
-of the tool - the general-matrix corrections to the vacuum-sector identities
-are a primary output - so they exit 1, distinct from crashes.
+Subcommands: validate, words, ktheory, fock-verify, lemma-verify, pairing.
+Exit codes: 0 = all requested checks hold, 1 = checks ran and defects were
+found, 2 = input error, 3 = internal error (an unexpected exception; its
+traceback goes to stderr).  Finding defects is a success mode of the tool -
+the general-matrix corrections to the vacuum-sector identities are a primary
+output - so they exit 1, distinct from crashes.  The duality report is the
+``--duality`` block of ``ktheory``; its flags are identities of the
+presentation pair (``ktheory.duality_report``), so it never sets the exit
+code.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ def cmd_ktheory(args) -> int:
     a = sft.load_matrix(args.matrix)
     pair = ktheory.presentation_pair(a)
     rep = ktheory.k_groups(a, pair)
-    d = ktheory.duality_report(a, pair) if args.duality else None
+    d = ktheory.duality_report(pair) if args.duality else None
     if args.json:
         out = rep.to_json()  # the matrix it echoes is A, not B
         if args.duality:
@@ -128,29 +131,12 @@ def cmd_ktheory(args) -> int:
         print(f"K^0({name}) = {alg.khom0}")
         print(f"K^1({name}) = {alg.khom1}")
     if args.duality:
-        _print_duality(d)
+        print(f"presentation match K0(O_A) ~ K^1(O_AT): {str(d.presentation_match_K0_Khom1).lower()}")
+        print(f"presentation match K1(O_A) ~ K^0(O_AT): {str(d.presentation_match_K1_Khom0).lower()}")
+        print(f"abstract isomorphism of cokernels: {str(d.abstract_iso_cokernels).lower()}")
+        print(f"invariant factors of coker(1-A):   {list(d.invariant_factors_A)}")
+        print(f"invariant factors of coker(1-A^T): {list(d.invariant_factors_AT)}")
     return EXIT_OK
-
-
-def _print_duality(d) -> None:
-    print(f"presentation match K0(O_A) ~ K^1(O_AT): {str(d.presentation_match_K0_Khom1).lower()}")
-    print(f"presentation match K1(O_A) ~ K^0(O_AT): {str(d.presentation_match_K1_Khom0).lower()}")
-    print(f"abstract isomorphism of cokernels: {str(d.abstract_iso_cokernels).lower()}")
-    print(f"invariant factors of coker(1-A):   {list(d.invariant_factors_A)}")
-    print(f"invariant factors of coker(1-A^T): {list(d.invariant_factors_AT)}")
-
-
-def cmd_duality(args) -> int:
-    a = sft.load_matrix(args.matrix)
-    d = ktheory.duality_report(a)
-    if args.json:
-        out = d.to_json()
-        out["matrix"] = a.to_json()
-        _emit_json(out)
-    else:
-        _print_duality(d)
-    # the presentation matches are identities; only the cokernels are compared
-    return EXIT_OK if d.abstract_iso_cokernels else EXIT_DEFECTS
 
 
 def cmd_fock_verify(args) -> int:
@@ -215,18 +201,19 @@ def cmd_pairing(args) -> int:
     return EXIT_OK if report.holds else EXIT_DEFECTS
 
 
-def _length(value: str) -> int:
-    m = int(value)
-    if m < 0:
-        raise argparse.ArgumentTypeError("--length must be >= 0")
-    return m
+def _length(flag: str, least: int):
+    """The argparse type of the integer option ``flag``, at least ``least``."""
 
+    def parse(value: str) -> int:
+        try:
+            m = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{flag} must be an integer") from None
+        if m < least:
+            raise argparse.ArgumentTypeError(f"{flag} must be >= {least}")
+        return m
 
-def _max_length(value: str) -> int:
-    m = int(value)
-    if m < 2:
-        raise argparse.ArgumentTypeError("--max-length must be >= 2")
-    return m
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if max_length:
             p.add_argument(
-                "--max-length", type=_max_length, default=5,
+                "--max-length", type=_length("--max-length", 2), default=5,
                 help="Fock truncation length m_max (default 5)",
             )
 
@@ -254,17 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("words", help="list admissible words of a given length")
     common(p)
-    p.add_argument("--length", type=_length, required=True)
+    p.add_argument("--length", type=_length("--length", 0), required=True)
     p.set_defaults(func=cmd_words)
 
     p = sub.add_parser("ktheory", help="K-theory and K-homology of O_A and O_{A^T}")
     common(p)
     p.add_argument("--duality", action="store_true", help="include the duality report")
     p.set_defaults(func=cmd_ktheory)
-
-    p = sub.add_parser("duality", help="presentation-level duality report")
-    common(p)
-    p.set_defaults(func=cmd_duality)
 
     p = sub.add_parser("fock-verify", help="verify the creation-operator relations")
     common(p, max_length=True)

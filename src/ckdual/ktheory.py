@@ -17,8 +17,9 @@ presentation A^[N] amalgamates back to the size of A (MIXED4^[5]: 172
 states to 4), and a matrix with no two equal rows and no two equal columns
 is its own amalgamation, B = A.  ``presentation_pair`` builds the pair the
 same way for every input, from ``succ``; ``ckdual ktheory`` builds it once
-and hands it to ``k_groups`` and ``duality_report``, and renders that one
-result as JSON or as text.  K_0(O_A) and K^1(O_{A^T}) are presented by
+and hands it to ``k_groups`` and, with ``--duality``, to ``duality_report``,
+and renders that one result as JSON or as text.  That block is the only
+duality report the CLI prints.  K_0(O_A) and K^1(O_{A^T}) are presented by
 the one matrix 1 - B^T (likewise K_1(O_A) and K^0(O_{A^T}) share its
 kernel), so the report states those matches as identities.  coker(1 - A)
 and coker(1 - A^T) are only abstractly isomorphic - equal invariant
@@ -231,34 +232,32 @@ def k_groups(a: ZeroOneMatrix, pair: tuple | None = None) -> KTheoryReport:
                          o_at=_algebra_groups(pres, pres_t))
 
 
-def duality_report(a: ZeroOneMatrix, pair: tuple | None = None) -> DualityReport:
+def duality_report(pair: tuple) -> DualityReport:
     """The duality identities of the presentation pair, and the cokernels compared.
 
-    The report reads the pair that ``k_groups`` reads, ``presentation_pair(a)``
-    (passed in as ``pair`` when the caller already holds it): 1 - B for the
-    amalgamation B of A, and 1 - B^T as its ``IntMatrix`` transpose.
-    K_0(O_A) and K^1(O_{A^T}) are both quotients by 1 - B^T, and K_1(O_A)
-    and K^0(O_{A^T}) are both kernels of it, because ``k_groups`` reads them
-    off that one matrix.  So the two ``presentation_match_*`` flags are
-    identities, true for every matrix, and the report states them rather
-    than compares anything.  ``abstract_iso_cokernels`` compares the two
-    cokernels, but it is a stated identity as well: a matrix and its
-    transpose have the same invariant factors, and ``smith_normal_form``
-    reads the form of one of 1 - B, 1 - B^T off the elimination of the
-    other, so the two agree by construction.  So ``ckdual duality`` cannot
-    exit 1.  The independent checks of the Smith form are its transform
-    postconditions, the invariance of K-theory under conjugacy
-    (higher-block presentations), and the tier-1 property that separate
-    eliminations of a matrix and of its transpose give transposed forms
-    (``tests/test_zlinalg.py``).
+    ``pair`` is ``presentation_pair(a)``, the pair that ``k_groups`` reads:
+    1 - B for the amalgamation B of A, and 1 - B^T as its ``IntMatrix``
+    transpose.  K_0(O_A) and K^1(O_{A^T}) are both quotients by 1 - B^T,
+    and K_1(O_A) and K^0(O_{A^T}) are both kernels of it, because
+    ``k_groups`` reads them off that one matrix.  So the two
+    ``presentation_match_*`` flags are identities, true for every matrix,
+    and the report states them rather than compares anything.
+    ``abstract_iso_cokernels`` compares the two cokernels, but it is a
+    stated identity as well: a matrix and its transpose have the same
+    invariant factors, and ``smith_normal_form`` reads the form of one of
+    1 - B, 1 - B^T off the elimination of the other, so the two agree by
+    construction.  So the report is printed, never turned into an exit
+    code: ``ktheory --duality`` exits 0.  The independent checks of the
+    Smith form are its transform postconditions, the invariance of K-theory
+    under conjugacy (higher-block presentations), and the tier-1 property
+    that separate eliminations of a matrix and of its transpose give
+    transposed forms (``tests/test_zlinalg.py``).
     """
-    pres, pres_t = presentation_pair(a) if pair is None else pair
+    pres, pres_t = pair
     coker_a = cokernel(pres)
     coker_at = cokernel(pres_t)
     return DualityReport(
-        abstract_iso_cokernels=(
-            coker_a.free_rank == coker_at.free_rank and coker_a.torsion == coker_at.torsion
-        ),
+        abstract_iso_cokernels=coker_a == coker_at,
         invariant_factors_A=coker_a.torsion,
         invariant_factors_AT=coker_at.torsion,
     )

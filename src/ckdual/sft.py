@@ -312,12 +312,10 @@ def parse_matrix_json(text: str) -> ZeroOneMatrix:
 def parse_matrix_text(text: str) -> ZeroOneMatrix:
     """Parse the plain-text format: n lines of n space-separated 0/1 digits.
 
-    Trailing whitespace-only lines are tolerated; anything else after the n-th
-    row is rejected as garbage.
+    Leading and trailing whitespace-only lines are tolerated; anything else
+    after the n-th row is rejected as garbage.
     """
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
+    lines = text.strip().splitlines()
     if not lines:
         raise MatrixFormatError("empty matrix file")
     n = len(lines[0].split())

@@ -19,7 +19,7 @@ from ckdual.fock import (
     verify_relation,
     zero,
 )
-from ckdual.ktheory import duality_report, k_groups
+from ckdual.ktheory import duality_report, k_groups, presentation_pair
 from ckdual.zlinalg import FGAbelianGroup, IntMatrix, determinant, smith_normal_form
 
 from helpers import (
@@ -66,7 +66,7 @@ def test_criterion_2_duality_diagram_random():
     failures = []
     matrices = random_aperiodic_matrices(seed=715, count=50, n_max=8)
     for a in matrices:
-        d = duality_report(a)
+        d = duality_report(presentation_pair(a))
         if one_minus(a.transpose()) != one_minus(a).transpose():
             failures.append(f"presentation mismatch for {a.rows}")
         if not (d.presentation_match_K0_Khom1 and d.presentation_match_K1_Khom0):

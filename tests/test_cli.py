@@ -128,10 +128,15 @@ def test_ktheory_o3_json(capsys, tmp_path):
     assert obj["duality"]["presentation_match_K0_Khom1"] is True
 
 
-def test_duality_command(capsys, fib_file):
-    code, out, _err = run(capsys, "duality", "--matrix", fib_file)
-    assert code == 0
-    assert "abstract isomorphism of cokernels: true" in out
+def test_removed_duality_command_is_a_usage_error(capsys, fib_file):
+    # the duality report is the --duality block of ktheory
+    with pytest.raises(SystemExit) as exc:
+        main(["duality", "--matrix", fib_file])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid choice: 'duality'" in err
+    assert "Traceback" not in err
 
 
 def test_fock_verify_exits(capsys, o2_file, fib_file):
@@ -284,6 +289,9 @@ def test_boolean_n_exits_2(capsys, tmp_path):
         (["fock-verify", "--max-length", "-1"], "--max-length must be >= 2"),
         (["lemma-verify", "--max-length", "-1"], "--max-length must be >= 2"),
         (["pairing", "--max-length", "-1"], "--max-length must be >= 2"),
+        (["words", "--length", "x"], "--length must be an integer"),
+        (["fock-verify", "--max-length", "abc"], "--max-length must be an integer"),
+        (["pairing", "--max-length", "2.5"], "--max-length must be an integer"),
     ],
 )
 def test_negative_lengths_rejected_at_parsing(capsys, fib_file, argv, message):

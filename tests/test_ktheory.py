@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ckdual import cli, ktheory, zlinalg
-from ckdual.ktheory import duality_report, k_groups
+from ckdual.ktheory import duality_report, k_groups, presentation_pair
 from ckdual.sft import validate_matrix
 from ckdual.zlinalg import (
     FGAbelianGroup,
@@ -99,7 +99,7 @@ def test_bowen_franks():
 
 def test_duality_presentations_and_abstract_iso():
     for a in relation_family():
-        d = duality_report(a)
+        d = duality_report(presentation_pair(a))
         assert d.presentation_match_K0_Khom1
         assert d.presentation_match_K1_Khom0
         assert d.abstract_iso_cokernels
@@ -107,7 +107,7 @@ def test_duality_presentations_and_abstract_iso():
 
 def test_duality_random_aperiodic_50():
     for a in random_aperiodic_matrices(seed=715, count=50, n_max=8):
-        d = duality_report(a)
+        d = duality_report(presentation_pair(a))
         assert d.presentation_match_K0_Khom1
         assert d.presentation_match_K1_Khom0
         assert d.abstract_iso_cokernels
@@ -116,13 +116,13 @@ def test_duality_random_aperiodic_50():
 
 
 def test_duality_example_matrices():
-    d = duality_report(ones(3))
+    d = duality_report(presentation_pair(ones(3)))
     assert list(d.invariant_factors_A) == [2]
     assert list(d.invariant_factors_AT) == [2]
     from ckdual.sft import validate_matrix
 
     a = validate_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-    d = duality_report(a)
+    d = duality_report(presentation_pair(a))
     assert d.abstract_iso_cokernels
     assert d.invariant_factors_A == d.invariant_factors_AT
 
@@ -163,7 +163,7 @@ def test_o_at_is_o_a_of_the_transpose():
 
 def test_report_json_schema_roundtrip(tmp_path):
     # each part the command prints is a dict equal to its JSON round trip
-    for out in (k_groups(ones(3)).to_json(), duality_report(ones(3)).to_json()):
+    for out in (k_groups(ones(3)).to_json(), duality_report(presentation_pair(ones(3))).to_json()):
         assert json.loads(json.dumps(out)) == out
     back = json.loads(_ktheory_json(tmp_path, ones(3)))
     assert set(back) == {"matrix", "O_A", "O_AT", "duality"}
@@ -192,7 +192,7 @@ def test_memo_factors_each_presentation_once(tmp_path):
     assert one_minus(a) != one_minus(a.transpose())
     assert _memo_work(lambda m: _ktheory_json(tmp_path, m), a) == (2, 8)
     assert _memo_work(k_groups, a) == (2, 6)
-    assert _memo_work(duality_report, a) == (2, 0)
+    assert _memo_work(lambda m: duality_report(presentation_pair(m)), a) == (2, 0)
 
 
 def test_memo_holds_at_most_two_forms(tmp_path):

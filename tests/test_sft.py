@@ -242,8 +242,12 @@ def test_parse_json_rejects_boolean_n():
 
 def test_parse_text_rejects_garbage():
     assert parse_matrix_text("1 1\n1 0\n") == FIB
+    assert parse_matrix_text("\n1 1\n1 0\n") == FIB
+    assert parse_matrix_text(" \n\n1 1\n1 0\n\t\n\n") == FIB
     with pytest.raises(MatrixFormatError):
         parse_matrix_text("1 1\n1 0\nleftover\n")
+    with pytest.raises(MatrixFormatError):
+        parse_matrix_text("1 1\n\n1 0\n")  # blank lines only at either end
     with pytest.raises(MatrixFormatError):
         parse_matrix_text("1 2\n1 0\n")
     with pytest.raises(MatrixFormatError):

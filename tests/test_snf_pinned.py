@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from ckdual.zlinalg import IntMatrix, smith_normal_form
+from ckdual.zlinalg import IntMatrix, _eliminate, smith_normal_form
 from helpers import FIB, MIXED4, higher_block, random_valid_matrix
 from oracles import one_minus
 
@@ -66,7 +66,10 @@ def test_snf_transforms_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_memoised_form_equals_fresh_elimination(name):
+    # _eliminate runs past both memos, so the memoised S (read transposed off
+    # the other matrix of its pair, for one of the two) meets a fresh one
     for m in PINNED[name][0]():
         memo = smith_normal_form(m)
         assert smith_normal_form(m) is memo
-        assert memo == smith_normal_form.__wrapped__(m)
+        assert memo.S == _eliminate(m, False)[0]
+        assert (memo.S, memo.U, memo.V) == _eliminate(m, True)
