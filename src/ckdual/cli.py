@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import duality as dualitymod
 from . import fock, ktheory, sft
@@ -45,9 +46,76 @@ def _check_letters(a: sft.ZeroOneMatrix, lo: int, hi: int) -> None:
         )
 
 
+# most entries of one list that a single write joins
+_JOIN_SLICE = 4096
+
+# json's text for a value of each type that it writes in one way: an int
+# (not a bool) by int.__repr__ and, under ensure_ascii, a str by its escaper
+_SCALAR = {
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_STRS = {str}
+
+
+def _write_json(write, obj, pad: str = "") -> None:
+    """Write ``obj`` as ``json.dump(obj, fp, indent=2)`` would, nested at the
+    indentation ``pad``.
+
+    An int, str, bool or None is written by ``_SCALAR``, and so is a list
+    or tuple whose entries all have one of those types exactly, in one
+    ``str.join`` per ``_JOIN_SLICE`` entries.  A list mixing int and bool
+    recurses per entry.  Floats, dicts with a non-str key and container
+    subclasses go to ``json.dumps``: JSON text holds no raw newline inside
+    a string, so indenting each of its line breaks by ``pad`` nests it.
+    """
+    kind = type(obj)
+    render = _SCALAR.get(kind)
+    if render is not None:
+        write(render(obj))
+        return
+    if not (kind is list or kind is tuple or kind is dict and _STRS.issuperset(map(type, obj))):
+        write(json.dumps(obj, indent=2).replace("\n", "\n" + pad))
+        return
+    if not obj:
+        write("{}" if kind is dict else "[]")
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is dict:
+        lead = "{\n" + inner
+        for key, value in obj.items():
+            write(lead + encode_basestring_ascii(key) + ": ")
+            _write_json(write, value, inner)
+            lead = sep
+        write("\n" + pad + "}")
+        return
+    types = set(map(type, obj))
+    render = _SCALAR.get(types.pop()) if len(types) == 1 else None
+    if render is None:
+        lead = "[\n" + inner
+        for value in obj:
+            write(lead)
+            _write_json(write, value, inner)
+            lead = sep
+    else:
+        write("[\n" + inner)
+        for start in range(0, len(obj), _JOIN_SLICE):
+            if start:
+                write(sep)
+            write(sep.join(map(render, obj[start:start + _JOIN_SLICE])))
+    write("\n" + pad + "]")
+
+
 def _emit_json(obj) -> None:
-    # streamed: json.dumps would hold every chunk of the indented text at once
-    json.dump(obj, sys.stdout, indent=2)
+    # Not json.dump: with indent set, CPython's json encodes in pure Python,
+    # one generator step and one write per entry, which made the n^2 matrix
+    # echo most of a large ``ktheory --json`` call.  The writer emits the same
+    # bytes, joins flat lists at C speed and still streams, since ``words``
+    # can hold about 10^6 strings.
+    _write_json(sys.stdout.write, obj)
     sys.stdout.write("\n")
 
 
@@ -208,7 +276,12 @@ def _length(flag: str, least: int):
         try:
             m = int(value)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{flag} must be an integer") from None
+            text = value.strip()
+            digits = text[1:] if text[:1] in ("+", "-") else text
+            if not digits.isdecimal():
+                raise argparse.ArgumentTypeError(f"{flag} must be an integer") from None
+            # an integer past Python's limit on int-string conversion
+            raise argparse.ArgumentTypeError(f"{flag} is too long: {len(digits)} digits") from None
         if m < least:
             raise argparse.ArgumentTypeError(f"{flag} must be >= {least}")
         return m

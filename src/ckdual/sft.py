@@ -57,6 +57,9 @@ class MatrixFormatError(ValueError):
 _ECHO_WIDTH = 40  # most characters of an offending input that a message repeats
 
 
+_INT_TYPE, _BITS, _BIT_TOKENS = {int}, {0, 1}, {"0", "1"}
+
+
 def _clip(text: str) -> str:
     return text if len(text) <= _ECHO_WIDTH else text[:_ECHO_WIDTH] + f"... ({len(text)} characters)"
 
@@ -114,10 +117,14 @@ def validate_matrix(raw) -> ZeroOneMatrix:
     for r in rows:
         if len(r) != n:
             raise NotSquareError(f"expected {n} columns per row, got {len(r)}")
+    # two C-level set tests per row; only a row that fails them is walked,
+    # for the first offender.  The type test comes first: True and 1.0 are
+    # in {0, 1}, and an unhashable entry must not reach the value test.
     for r in rows:
-        for e in r:
-            if not isinstance(e, int) or isinstance(e, bool) or e not in (0, 1):
-                raise NonBinaryEntryError(f"entry {_clip(repr(e))} is not 0 or 1")
+        if not (_INT_TYPE.issuperset(map(type, r)) and _BITS.issuperset(r)):
+            for e in r:
+                if not isinstance(e, int) or isinstance(e, bool) or e not in (0, 1):
+                    raise NonBinaryEntryError(f"entry {_clip(repr(e))} is not 0 or 1")
     for i, r in enumerate(rows):
         if not any(r):
             raise ZeroRowError(i + 1)
@@ -326,9 +333,10 @@ def parse_matrix_text(text: str) -> ZeroOneMatrix:
         toks = line.split()
         if len(toks) != n:
             raise MatrixFormatError(f"expected {n} entries per row, got {len(toks)}")
-        if not all(t in ("0", "1") for t in toks):
+        if not _BIT_TOKENS.issuperset(toks):
             raise MatrixFormatError(f"non-0/1 token in row: {_clip(repr(line.strip()))}")
-        rows.append([int(t) for t in toks])
+        # tuples: validate_matrix then keeps each row as it is, with no copy
+        rows.append(tuple(map(int, toks)))
     return validate_matrix(rows)
 
 

@@ -1,13 +1,18 @@
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckdual import cli, fock, sft
 from ckdual.cli import main
+from helpers import MIXED4, higher_block
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -189,6 +194,115 @@ def test_json_outputs_roundtrip_and_deterministic(capsys, fib_file):
         assert json.loads(out1) == json.loads(out2)
 
 
+def _assert_writes_json_dumps(obj) -> None:
+    buf = io.StringIO()
+    cli._write_json(buf.write, obj)
+    got, want = buf.getvalue(), json.dumps(obj, indent=2)
+    if got != want:  # pytest's own diff of two long texts takes minutes
+        at = next(i for i, (x, y) in enumerate(zip(got + "\0", want + "\1")) if x != y)
+        pytest.fail(f"differs at {at}: {got[at - 30:at + 30]!r} != {want[at - 30:at + 30]!r}")
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.floats() | st.text()
+    | st.integers() | st.integers(min_value=-10**40, max_value=10**40)
+)
+# flat lists, so the joined int and str paths and their near misses are common
+_FLAT_LISTS = (
+    st.lists(st.integers(min_value=-10**30, max_value=10**30))
+    | st.lists(st.integers(min_value=-2, max_value=2) | st.booleans())
+    | st.lists(st.text(alphabet="a1 ε⊗Ω\"\\\n\x00\ud800"))
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | _FLAT_LISTS | _FLAT_LISTS.map(tuple),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+# A slice of two entries splits every flat list of three or more.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JSON_VALUES)
+def test_writer_text_equals_json_dumps_indent_2(obj):
+    with mock.patch.object(cli, "_JOIN_SLICE", 2):
+        _assert_writes_json_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"rows": [[0, 1] * 5000, [1] * (cli._JOIN_SLICE + 1)], "n": 2},
+        {"words": ["12", "ε", ""] * cli._JOIN_SLICE, "count": 3 * cli._JOIN_SLICE},
+        [1, True, 2],
+        [{}, [], (), "", 0, None],
+        {1: [1, 2], "a": {"b": ()}},
+    ],
+    ids=["long-int-rows", "long-str-list", "bool-in-ints", "empties", "int-key"],
+)
+def test_writer_examples_equal_json_dumps_indent_2(obj):
+    _assert_writes_json_dumps(obj)
+
+
+@pytest.fixture
+def mixed4b2_file(tmp_path):
+    # 10 states, so the words that hold letter 10 render dot-separated
+    p = tmp_path / "mixed4b2.json"
+    p.write_text(json.dumps(higher_block(MIXED4, 2).to_json()))
+    return str(p)
+
+
+@pytest.mark.parametrize("matrix", ["fib_file", "mixed4b2_file"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["words", "--length", "0"],
+        ["words", "--length", "3"],
+        ["ktheory"],
+        ["ktheory", "--duality"],
+        ["fock-verify", "--max-length", "3"],
+        ["lemma-verify", "--which", "W", "--max-length", "3"],
+        ["lemma-verify", "--which", "V", "--max-length", "3"],
+        ["lemma-verify", "--which", "toeplitz", "--max-length", "3"],
+        ["pairing", "--max-length", "3"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_json_stdout_is_json_dumps_indent_2(capsys, request, matrix, argv):
+    path = request.getfixturevalue(matrix)
+    _code, out, _err = run(capsys, argv[0], "--matrix", path, *argv[1:], "--json")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# The first offender in row-major order is named.  In the first layout the
+# entry is the only offender of its row and a later row holds 9 at column 1;
+# in the second a 5 follows it in its own row.
+@pytest.mark.parametrize(
+    "entry, shown",
+    [("true", "True"), ("1.0", "1.0"), ("2", "2"), ('"1"', "'1'")],
+    ids=["true", "float", "two", "string"],
+)
+@pytest.mark.parametrize(
+    "layout",
+    [
+        "[[1, 1, 1], [1, 0, %s], [9, 1, 1]]",
+        "[[1, 1, 1], [1, %s, 5], [1, 1, 1]]",
+    ],
+    ids=["later-row", "same-row"],
+)
+def test_json_entry_outside_0_1_exits_2_naming_the_first(capsys, tmp_path, entry, shown, layout):
+    p = tmp_path / "m.json"
+    p.write_text('{"n": 3, "rows": %s}' % (layout % entry))
+    code, out, err = run(capsys, "validate", "--matrix", str(p))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: entry {shown} is not 0 or 1\n"
+
+
 # The all-ones 4 x 4 matrix has 4^m words of length m, the 2 x 2 swap two.
 ONES4_LETTERS_TO_14 = sum(4**m * m for m in range(15))
 
@@ -292,6 +406,9 @@ def test_boolean_n_exits_2(capsys, tmp_path):
         (["words", "--length", "x"], "--length must be an integer"),
         (["fock-verify", "--max-length", "abc"], "--max-length must be an integer"),
         (["pairing", "--max-length", "2.5"], "--max-length must be an integer"),
+        # past Python's limit on int-string conversion (4,300 digits by default)
+        (["words", "--length", "1" * 5000], "--length is too long: 5000 digits"),
+        (["pairing", "--max-length", "1" * 5000], "--max-length is too long: 5000 digits"),
     ],
 )
 def test_negative_lengths_rejected_at_parsing(capsys, fib_file, argv, message):
