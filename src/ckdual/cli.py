@@ -188,7 +188,7 @@ def cmd_ktheory(args) -> int:
     rep = ktheory.k_groups(a, pair)
     d = ktheory.duality_report(pair) if args.duality else None
     if args.json:
-        out = rep.to_json()  # the matrix it echoes is A, not B
+        out = {"matrix": a.to_json(), **rep.to_json()}  # A, not its amalgamation B
         if args.duality:
             out["duality"] = d.to_json()
         _emit_json(out)
@@ -234,7 +234,7 @@ def cmd_lemma_verify(args) -> int:
     basis = _fock_basis(args)
     report = dualitymod.verify_lemmas(basis, args.which)
     if args.json:
-        _emit_json(report.to_json())
+        _emit_json({**report.to_json(), "matrix": basis.matrix.to_json()})
     else:
         print(f"lemma {report.lemma} (m_max={report.m_max})")
         for item in report.items:

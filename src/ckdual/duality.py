@@ -278,7 +278,6 @@ class LemmaItem:
 class LemmaReport:
     lemma: str
     m_max: int
-    matrix: dict
     items: tuple = field(default_factory=tuple)
 
     @property
@@ -290,7 +289,6 @@ class LemmaReport:
             "lemma": self.lemma,
             "items": [item.to_json() for item in self.items],
             "m_max": self.m_max,
-            "matrix": self.matrix,
         }
 
 
@@ -346,7 +344,7 @@ def verify_lemma_W(basis: FockBasis) -> LemmaReport:
         vi_items.append(_hybrid_item(f"vi(k={k})", hybrid_mul(w_star, lk),
                                      hybrid_mul(lk, w_star)
                                      + vacuum_tensor(basis, ckalg.ck_generator(tag, k))))
-    return LemmaReport("W", basis.m_max, a.to_json(), tuple(items + v_items + vi_items))
+    return LemmaReport("W", basis.m_max, tuple(items + v_items + vi_items))
 
 
 def _w_and_v(basis: FockBasis):
@@ -393,7 +391,7 @@ def verify_lemma_V(basis: FockBasis) -> LemmaReport:
               for k, v_k in enumerate(vs, 1)]
     items += [_hybrid_item(f"v(k={k})", hybrid_mul(w_star, v_k), hybrid_mul(v_k, w_star))
               for k, v_k in enumerate(vs, 1)]
-    return LemmaReport("V", basis.m_max, a.to_json(), tuple(items))
+    return LemmaReport("V", basis.m_max, tuple(items))
 
 
 def verify_toeplitz_untwist(basis: FockBasis) -> LemmaReport:
@@ -403,18 +401,17 @@ def verify_toeplitz_untwist(basis: FockBasis) -> LemmaReport:
     W*W - WW* is exactly the vacuum term P (x) 1; and the V_k satisfy the
     defining range relations relative to that unit.
     """
-    a = basis.matrix
     w, w_star, vs, vs_star, ranges = _w_and_v(basis)
     unit = hybrid_mul(w_star, w)
     items = [_hybrid_item(f"unit(k={k})", hybrid_mul(unit, v_k), v_k)
              for k, v_k in enumerate(vs, 1)]
     items += _range_items(basis, "range", vs, vs_star, ranges)
     del vs_star, ranges  # large; no later item needs them
-    p1 = vacuum_tensor(basis, ck_unit(ckalg.o_a(a)))
+    p1 = vacuum_tensor(basis, ck_unit(ckalg.o_a(basis.matrix)))
     # the difference cancels nearly every term, so WW* is freed before the scan
     items.append(_hybrid_item("shift", unit - hybrid_mul(w, w_star), p1))
     items.append(_hybrid_item("idempotent", hybrid_mul(unit, unit), unit))
-    return LemmaReport("toeplitz", basis.m_max, a.to_json(), tuple(items))
+    return LemmaReport("toeplitz", basis.m_max, tuple(items))
 
 
 def verify_lemmas(basis: FockBasis, which: str = "W"):

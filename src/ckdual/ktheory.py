@@ -29,12 +29,14 @@ never identifies them entrywise.
 A ``ktheory --duality`` report asks for a Smith form ten times (four per
 algebra in ``k_groups``, two in ``duality_report``; six through
 ``cokernel`` and four through ``kernel_basis``) but of only the two
-matrices of the amalgamated pair, 1 - B and 1 - B^T.  The two-entry memo on
-``smith_normal_form`` makes that two forms, and both read their S off one
-transform-free elimination, of one matrix of the pair: the Smith form of a
-transpose is the transposed Smith form.  Only ``kernel_basis`` reads a
-transform (V, at the zero diagonal entries), so the transforms of a
-presentation are built, once, only when it is singular: det(1 - A) = 0.
+matrices of the amalgamated pair, 1 - B and 1 - B^T.  The memo of
+``smith_normal_form`` holds the forms of one transpose pair, so that makes
+two forms, and both read their S off one transform-free elimination, of
+one matrix of the pair: the Smith form of a transpose is the transposed
+Smith form.  Only ``kernel_basis`` reads a transform (V, at the zero
+diagonal entries), so the transforms of a presentation are built, once,
+only when it is singular: det(1 - A) = 0.  The reports hold groups only;
+the CLI echoes the input matrix A (not B) next to them.
 """
 
 from __future__ import annotations
@@ -179,13 +181,11 @@ class AlgebraKTheory:
 
 @dataclass(frozen=True)
 class KTheoryReport:
-    matrix: ZeroOneMatrix
     o_a: AlgebraKTheory
     o_at: AlgebraKTheory
 
     def to_json(self) -> dict:
         return {
-            "matrix": self.matrix.to_json(),
             "O_A": self.o_a.to_json(),
             "O_AT": self.o_at.to_json(),
         }
@@ -225,11 +225,13 @@ def k_groups(a: ZeroOneMatrix, pair: tuple | None = None) -> KTheoryReport:
     """All eight K/K-homology groups of O_A and O_{A^T}, from one pair.
 
     ``pair`` is ``presentation_pair(a)``, built here unless the caller
-    already holds it.
+    already holds it.  ``ckdual ktheory`` passes the pair it also hands to
+    ``duality_report``; the benchmark's oracle (``Oracle.base_groups`` in
+    ``bench/worker.py``) calls ``k_groups(a)`` alone, so the branch that
+    builds the pair serves it.
     """
     pres, pres_t = presentation_pair(a) if pair is None else pair
-    return KTheoryReport(matrix=a, o_a=_algebra_groups(pres_t, pres),
-                         o_at=_algebra_groups(pres, pres_t))
+    return KTheoryReport(o_a=_algebra_groups(pres_t, pres), o_at=_algebra_groups(pres, pres_t))
 
 
 def duality_report(pair: tuple) -> DualityReport:

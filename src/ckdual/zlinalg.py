@@ -9,7 +9,7 @@ computed from these presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress, count
 from operator import itemgetter
 
@@ -46,11 +46,13 @@ class IntMatrix:
 class SmithForm:
     """U * M * V = S with U, V unimodular and S diagonal with a divisibility chain.
 
-    S is computed when the form is built, by ``smith_normal_form``; U and V
-    only when one of them is first read, by one more elimination of M
-    bordered by identities that carry the transforms.  That elimination's S
-    is S again: the Smith form is unique (``smith_normal_form``), whether S
-    came from M or, transposed, from M^T.  Equality and hash are the
+    S is given when the form is built: ``smith_normal_form`` eliminates one
+    matrix of a transpose pair and builds the forms of both, one with S and
+    one with S transposed.  U and V are built only when one of them is first
+    read, by one more elimination of M bordered by identities that carry
+    the transforms, and the form keeps them.  That elimination's S is S
+    again: the Smith form is unique (``smith_normal_form``), whether S came
+    from M or, transposed, from M^T.  Equality and hash are the
     generated ones on (M, S), and comparing two forms never builds a
     transform: U and V are functions of M, so equal (M, S) means equal
     (U, S, V).
@@ -279,15 +281,10 @@ def _eliminate(m: IntMatrix, transforms: bool) -> tuple:
             IntMatrix(cols, cols, tuple(tuple(r[:cols]) for r in s[rows:])))
 
 
-@lru_cache(maxsize=1)
-def _transform_free_s(m: IntMatrix) -> IntMatrix:
-    """S of one transform-free elimination of m, the canonical member of its
-    transpose pair (``smith_normal_form``)."""
-    s, _, _ = _eliminate(m, False)
-    return s
+# the Smith forms of the most recent transpose pair {M, M^T}, keyed by matrix
+_pair_forms: dict = {}
 
 
-@lru_cache(maxsize=2)
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Diagonalize over Z by elementary (unimodular) row and column operations.
 
@@ -304,36 +301,31 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     only diagonals, plus V when a presentation is singular, so a
     nonsingular report never builds a transform.
 
-    Memoised twice.  The forms are memoised on the matrix's value, for the
-    two most recent matrices; the S of the canonical matrix is memoised for
-    the most recent pair (``_transform_free_s``).  A K-theory report
-    factors only the amalgamated pair 1 - B and 1 - B^T
+    Memoised on the matrix's value, for the most recent transpose pair: a
+    miss eliminates the canonical matrix once and stores the forms of both
+    m and m^T in ``_pair_forms``, replacing the previous pair.  A K-theory
+    report factors only the amalgamated pair 1 - B and 1 - B^T
     (``ktheory.presentation_pair``; B = A when no two rows or columns of A
     are equal), but asks for them ten times through ``cokernel`` and
     ``kernel_basis`` (four per algebra in ``k_groups`` and two in
-    ``duality_report``).  So the first memo turns ten requests into two
-    forms, and the second turns those two into one elimination.  Every
-    caller of the same matrix gets the same ``SmithForm`` object,
-    transforms included once built; it and its ``IntMatrix`` fields are
-    frozen and hold only tuples, so sharing it is safe.
-    ``smith_normal_form.cache_clear()`` clears both memos.
-    ``smith_normal_form.__wrapped__`` builds a new form past the first memo
-    but reads S through the second; ``_eliminate(m, False)`` is a fresh
-    elimination.
+    ``duality_report``).  So ten requests get two forms and run one
+    elimination.  Every caller of the same matrix gets the same
+    ``SmithForm`` object, transforms included once built; it and its
+    ``IntMatrix`` fields are frozen and hold only tuples, so sharing it is
+    safe.  ``_pair_forms.clear()`` empties the memo, and
+    ``SmithForm(m, _eliminate(m, False)[0])`` is a fresh form.
     """
-    mt = m.transpose()
-    if m.entries <= mt.entries:
-        return SmithForm(m, _transform_free_s(m))
-    return SmithForm(m, _transform_free_s(mt).transpose())
-
-
-def _clear_smith_memos(clear_forms=smith_normal_form.cache_clear) -> None:
-    # the lru_cache's own cache_clear, bound before it is replaced below
-    clear_forms()
-    _transform_free_s.cache_clear()
-
-
-smith_normal_form.cache_clear = _clear_smith_memos
+    form = _pair_forms.get(m)
+    if form is None:
+        mt = m.transpose()
+        c, ct = (m, mt) if m.entries <= mt.entries else (mt, m)
+        s, _, _ = _eliminate(c, False)
+        _pair_forms.clear()
+        # a symmetric m is its own transpose: one key, one form
+        _pair_forms[ct] = SmithForm(ct, s.transpose())
+        _pair_forms[c] = SmithForm(c, s)
+        form = _pair_forms[m]
+    return form
 
 
 def determinant(m: IntMatrix) -> int:

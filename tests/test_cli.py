@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckdual import cli, fock, sft
+from ckdual import ckalg, cli, fock, sft
 from ckdual.cli import main
 from helpers import MIXED4, higher_block
 
@@ -165,6 +165,25 @@ def test_lemma_verify_exits(capsys, o2_file, fib_file):
     assert "vi(k=2): DEFECT" in out
     code, _out, _err = run(capsys, "lemma-verify", "--matrix", fib_file, "--which", "V")
     assert code == 0
+
+
+def test_failing_symbolic_lemma_item_reports_its_difference(capsys, monkeypatch, o2_file):
+    # every item holds on ones(2); twice the circle transport breaks the
+    # quotient-image items, W's i and V's i(k), and nothing else
+    alpha_z = ckalg.alpha_z
+    monkeypatch.setattr(ckalg, "alpha_z", lambda a: alpha_z(a).scale(2))
+    code, out, _err = run(capsys, "lemma-verify", "--matrix", o2_file, "--which", "W")
+    assert code == 1
+    lines = out.splitlines()
+    k = lines.index("  i: DEFECT (0 column(s))")
+    assert lines[k + 1].startswith("    note: difference: ")
+    assert not any("DEFECT" in line for line in lines[k + 1:])
+    code, out, _err = run(capsys, "lemma-verify", "--matrix", o2_file, "--which", "V", "--json")
+    assert code == 1
+    item = next(i for i in json.loads(out)["items"] if i["id"] == "i(k=1)")
+    assert item["holds"] is False
+    assert item["defects"] == []
+    assert item["note"].startswith("compared against the adjoint circle transport; difference: ")
 
 
 def test_pairing(capsys, fib_file, o2_file):
@@ -369,6 +388,23 @@ LONG_INPUTS = {
     "json-entry": '{"n": 1, "rows": [[1' + "0" * 5000 + "]]}",
     "text-row": "1" * 5000 + "\n",
 }
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("ragged.json", '{"n": 2, "rows": [[1, 1], [1]]}', "every row must be a list of 2 entries"),
+        ("ragged.txt", "1 1\n1\n", "expected 2 entries per row, got 1"),
+    ],
+    ids=["json", "text"],
+)
+def test_ragged_row_exits_2(capsys, tmp_path, name, content, message):
+    p = tmp_path / name
+    p.write_text(content)
+    code, out, err = run(capsys, "validate", "--matrix", str(p))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("name", sorted(LONG_INPUTS))

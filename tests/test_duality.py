@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ckdual import ckalg
+from ckdual import ckalg, cli
 from ckdual.duality import (
     BasisMismatchError,
     build_W,
@@ -340,17 +340,26 @@ def test_quotient_of_raw_operators_raises():
         quotient_image(hybrid_mul(build_W(b), raw.adjoint()).scale(2) + hybrid_unit(b))
 
 
-def test_lemma_report_json():
+def test_lemma_report_json(capsys, tmp_path):
     rep = verify_lemma_W(FockBasis(FIB, 5))
     out = rep.to_json()
-    assert set(out) == {"lemma", "items", "m_max", "matrix"}
+    assert set(out) == {"lemma", "items", "m_max"}
     assert out["lemma"] == "W"
     assert out["m_max"] == 5
-    assert out["matrix"] == {"n": 2, "rows": [[1, 1], [1, 0]]}
     bad = next(i for i in out["items"] if i["id"] == "vi(k=2)")
     assert bad["holds"] is False
     assert bad["defects"] == [{"column": "2", "length": 1, "entries": {"2": "-s[2]"}}]
     assert json.loads(json.dumps(out)) == out
+    # the command echoes the matrix after the report's own keys
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps(FIB.to_json()))
+    code = cli.main(["lemma-verify", "--which", "W", "--max-length", "5", "--json",
+                     "--matrix", str(path)])
+    echoed = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert list(echoed) == ["lemma", "items", "m_max", "matrix"]
+    assert echoed["matrix"] == {"n": 2, "rows": [[1, 1], [1, 0]]}
+    assert {k: echoed[k] for k in out} == out
 
 
 def test_quotient_requires_signature():

@@ -16,7 +16,6 @@ from ckdual.zlinalg import (
     cokernel,
     determinant,
     kernel_basis,
-    smith_normal_form,
 )
 
 from helpers import (
@@ -178,28 +177,46 @@ def test_report_json_schema_roundtrip(tmp_path):
     }
 
 
-def _memo_work(report, a):
-    smith_normal_form.cache_clear()
-    report(a)
-    info = smith_normal_form.cache_info()
-    return info.misses, info.hits
+def _memo_work(monkeypatch, report, a):
+    """(Smith-form requests, distinct forms returned, the ``transforms`` flag
+    of each elimination) of one report on a, from an empty memo."""
+    forms, runs = [], []
+    snf, eliminate = zlinalg.smith_normal_form, zlinalg._eliminate
+
+    def spy_snf(m):
+        forms.append(snf(m))
+        return forms[-1]
+
+    def spy_eliminate(m, transforms):
+        runs.append(transforms)
+        return eliminate(m, transforms)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(zlinalg, "smith_normal_form", spy_snf)
+        mp.setattr(zlinalg, "_eliminate", spy_eliminate)
+        zlinalg._pair_forms.clear()
+        report(a)
+    return len(forms), len({id(f) for f in forms}), runs
 
 
-def test_memo_factors_each_presentation_once(tmp_path):
-    # 1 - A and 1 - A^T differ for MIXED4, so each report factors exactly two
-    # matrices however often it asks for them
+def test_memo_factors_each_presentation_once(monkeypatch, tmp_path):
+    # 1 - A and 1 - A^T differ for MIXED4, so each report gets exactly two
+    # forms however often it asks for them, both off one transform-free
+    # elimination (1 - MIXED4 is nonsingular, so no transform is built)
     a = higher_block(MIXED4, 2)
     assert one_minus(a) != one_minus(a.transpose())
-    assert _memo_work(lambda m: _ktheory_json(tmp_path, m), a) == (2, 8)
-    assert _memo_work(k_groups, a) == (2, 6)
-    assert _memo_work(lambda m: duality_report(presentation_pair(m)), a) == (2, 0)
+    assert _memo_work(monkeypatch, lambda m: _ktheory_json(tmp_path, m), a) == (10, 2, [False])
+    assert _memo_work(monkeypatch, k_groups, a) == (8, 2, [False])
+    assert _memo_work(monkeypatch, lambda m: duality_report(presentation_pair(m)), a) == (2, 2, [False])
 
 
 def test_memo_holds_at_most_two_forms(tmp_path):
-    smith_normal_form.cache_clear()
-    for a in (FIB, MIXED4, higher_block(FIB, 3)):
+    # the forms of the last report's pair, 1 - MIXED4 and its transpose
+    zlinalg._pair_forms.clear()
+    for a in (FIB, MIXED4, higher_block(FIB, 3), MIXED4):
         _ktheory_json(tmp_path, a)
-    assert smith_normal_form.cache_info().currsize <= 2
+    assert len(zlinalg._pair_forms) <= 2
+    assert set(zlinalg._pair_forms) == set(presentation_pair(MIXED4))
 
 
 def test_memo_alternating_reports_match_fresh_eliminations(monkeypatch, tmp_path):
@@ -207,7 +224,7 @@ def test_memo_alternating_reports_match_fresh_eliminations(monkeypatch, tmp_path
     rng = random.Random(808)
     a, b = random_valid_matrix(rng, 7), random_valid_matrix(rng, 7)
     order = [a, b, a, b, b, a]
-    smith_normal_form.cache_clear()
+    zlinalg._pair_forms.clear()
     memoised = [_ktheory_json(tmp_path, m) for m in order]
 
     def fresh_form(m):  # no memo at all: each matrix eliminated on its own
@@ -231,8 +248,8 @@ def test_transforms_built_once_per_singular_presentation(monkeypatch, tmp_path, 
     # form keeps the transforms once built, so its repeated calls do not redo them.
     # S is eliminated for one matrix of the pair 1 - A, 1 - A^T, and read
     # transposed for the other, so one transform-free elimination per report.
-    # Both memos are warm before the count: cache_clear() must clear them both,
-    # or the counts would depend on which tests ran before
+    # The memo is warm before the count, and is emptied for it, or the counts
+    # would depend on which tests ran before
     _ktheory_json(tmp_path, a)
     runs, kernel_calls = [], []
     eliminate, kernel = zlinalg._eliminate, ktheory.kernel_basis
@@ -247,7 +264,7 @@ def test_transforms_built_once_per_singular_presentation(monkeypatch, tmp_path, 
 
     monkeypatch.setattr(zlinalg, "_eliminate", spy_eliminate)
     monkeypatch.setattr(ktheory, "kernel_basis", spy_kernel)
-    smith_normal_form.cache_clear()
+    zlinalg._pair_forms.clear()
     _ktheory_json(tmp_path, a)
     assert len(kernel_calls) == 4
     assert runs.count(False) == 1
