@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .sft import ZeroOneMatrix, validate_matrix, word_str
+from .sft import ZeroOneMatrix, validate_matrix
 
 # Bound on the memoized zero-test verdicts; one lemma report needs far fewer.
 # A defect scan tests each distinct entry once, so the memo serves repeats
@@ -86,7 +86,7 @@ def _continuations(a: ZeroOneMatrix, *words):
         return range(a.n)
     out = a.succ[ends[0]]
     for e in ends[1:]:
-        out = [k for k in out if a.entry(e, k)]
+        out = [k for k in out if k in a.succ[e]]
     return out
 
 
@@ -103,7 +103,7 @@ def _pair_product(a: ZeroOneMatrix, mu, nu, al, be):
             return []
         sig = al[len(nu):]
         if sig:
-            if mu and not a.entry(mu[-1], sig[0]):
+            if mu and sig[0] not in a.succ[mu[-1]]:
                 return []
             return [(mu + sig, be)]
         if not nu:
@@ -112,7 +112,7 @@ def _pair_product(a: ZeroOneMatrix, mu, nu, al, be):
     if nu[: len(al)] != al:
         return []
     tau = nu[len(al):]
-    if be and not a.entry(be[-1], tau[0]):
+    if be and tau[0] not in a.succ[be[-1]]:
         return []
     return [(mu, be + tau)]
 
@@ -369,8 +369,8 @@ def alpha_bar(x: TensorElement) -> TensorElement:
 
 def _render_key(factor, key) -> str:
     mu, nu = key
-    parts = [f"{factor.symbol}[{word_str((i,))}]" for i in mu]
-    parts += [f"{factor.symbol}[{word_str((i,))}]*" for i in reversed(nu)]
+    parts = [f"{factor.symbol}[{i + 1}]" for i in mu]
+    parts += [f"{factor.symbol}[{i + 1}]*" for i in reversed(nu)]
     return "".join(parts) if parts else "1"
 
 

@@ -173,12 +173,12 @@ def cmd_words(args) -> int:
                 "matrix": a.to_json(),
                 "length": args.length,
                 "count": len(words),
-                "words": [sft.word_str(w) for w in words],
+                "words": [sft.word_str(w, a.n) for w in words],
             }
         )
     else:
         for w in words:
-            print(sft.word_str(w) if w else "ε")
+            print(sft.word_str(w, a.n) if w else "ε")
     return EXIT_OK
 
 

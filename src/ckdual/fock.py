@@ -168,7 +168,7 @@ class FockOperator:
             raise BasisMismatchError("operators live on different bases")
 
     def _two_entries(self, what: str, j: int) -> ValueError:
-        w = word_str(self.basis.words[j])
+        w = word_str(self.basis.words[j], self.basis.matrix.n)
         return ValueError(f"{what} has two entries in column {j} (word {w!r}); "
                           "a Fock operator holds at most one entry per column")
 
@@ -295,9 +295,9 @@ class DefectColumn:
 def defect_column(basis: FockBasis, j: int, rows) -> DefectColumn:
     """The defect at basis position j, with the (row position, value) pairs
     ``rows`` rendered as (row word, value)."""
-    words = basis.words
+    words, n = basis.words, basis.matrix.n
     w = words[j]
-    return DefectColumn(word_str(w), len(w), tuple((word_str(words[i]), v) for i, v in rows))
+    return DefectColumn(word_str(w, n), len(w), tuple((word_str(words[i], n), v) for i, v in rows))
 
 
 @dataclass(frozen=True)

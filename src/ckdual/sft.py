@@ -6,12 +6,13 @@ A[i][j] = 1.  Everything downstream (Cuntz-Krieger algebra relations, Fock
 space bases, K-theory presentations) is driven by this matrix, so validation
 lives here.
 
-Every layer reads adjacency through the two cached views of
-``ZeroOneMatrix``: ``succ[i]``, the letters that may follow i, and
-``pred[j]``, the letters that j may follow, both ascending; 1 - A and its
-amalgamation read ``succ`` alone.  ``rows`` and ``entry`` serve only
-single-edge tests and the matrix echo; only this module knows how the rows
-are stored.
+The matrix is stored once, as its transition graph: ``succ[i]``, the
+letters that may follow i, ascending.  Every layer reads adjacency through
+``succ`` and the cached ``pred[j]``, the letters that j may follow; 1 - A
+and its amalgamation read ``succ`` alone.  The dense ``rows``, ``entry`` and
+``to_json`` are rendered on demand for the readers that want the matrix
+itself: the ``--json`` echo, the benchmark's input summary and oracle, and
+the oracles of the test suite.
 
 Letters are 0-based in all in-memory words and 1-based in every rendered
 report, matching the usual generator labels s_1, ..., s_n.
@@ -68,49 +69,57 @@ def _clip(text: str) -> str:
 class ZeroOneMatrix:
     """A validated n x n 0/1 matrix with no zero row and no zero column.
 
-    Every layer reads the transition graph through ``succ`` and ``pred``,
-    cached on first use, 1 - A included; ``rows`` and ``entry`` serve only
-    single-edge tests and the matrix echo.  Equality and hash use (n, rows).
+    Stored as ``succ``: ``succ[i]`` holds the letters that may follow i, in
+    ascending order, so storage grows with the edges, not with n^2.
+    Equality and hash use (n, succ).  ``pred`` is cached on first use;
+    ``rows``, ``entry`` and ``to_json`` build the dense form on each call,
+    for the ``--json`` echo, the benchmark and the test oracles.
     """
 
     n: int
-    rows: tuple
-
-    @cached_property
-    def succ(self) -> tuple:
-        """succ[i]: the letters that may follow i, in ascending order."""
-        letters = range(self.n)
-        return tuple(tuple(compress(letters, r)) for r in self.rows)
+    succ: tuple
 
     @cached_property
     def pred(self) -> tuple:
         """pred[j]: the letters that j may follow, in ascending order."""
-        # read off succ in O(edges), not off the n x n transpose
         pred = [[] for _ in range(self.n)]
         for i, succ in enumerate(self.succ):
             for j in succ:
                 pred[j].append(i)
         return tuple(map(tuple, pred))
 
+    def _dense_rows(self):
+        for succ in self.succ:
+            row = [0] * self.n
+            for j in succ:
+                row[j] = 1
+            yield row
+
+    @property
+    def rows(self) -> tuple:
+        """The n dense rows as tuples of 0/1 ints."""
+        return tuple(map(tuple, self._dense_rows()))
+
     def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
+        return 1 if j in self.succ[i] else 0
 
     def transpose(self) -> "ZeroOneMatrix":
         # A zero row of the transpose would be a zero column of self, so the
         # result is valid by construction.
-        return ZeroOneMatrix(self.n, tuple(zip(*self.rows)))
+        return ZeroOneMatrix(self.n, self.pred)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "rows": [list(r) for r in self.rows]}
+        return {"n": self.n, "rows": list(self._dense_rows())}
 
 
 def validate_matrix(raw) -> ZeroOneMatrix:
-    """Validate a raw integer matrix as a defining matrix.
+    """Validate a raw integer matrix, an iterable of rows, as a defining matrix.
 
     Rejects non-square input, entries outside {0, 1}, and any all-zero row or
-    column (indices in errors are 1-based).
+    column (indices in errors are 1-based), in that order.  Each row is read
+    as it is, and only its successor list is kept.
     """
-    rows = tuple(map(tuple, raw))
+    rows = [r if isinstance(r, (list, tuple)) else tuple(r) for r in raw]
     n = len(rows)
     if n == 0:
         raise NotSquareError("matrix is empty")
@@ -120,36 +129,41 @@ def validate_matrix(raw) -> ZeroOneMatrix:
     # two C-level set tests per row; only a row that fails them is walked,
     # for the first offender.  The type test comes first: True and 1.0 are
     # in {0, 1}, and an unhashable entry must not reach the value test.
+    letters, succ = range(n), []
     for r in rows:
         if not (_INT_TYPE.issuperset(map(type, r)) and _BITS.issuperset(r)):
             for e in r:
                 if not isinstance(e, int) or isinstance(e, bool) or e not in (0, 1):
                     raise NonBinaryEntryError(f"entry {_clip(repr(e))} is not 0 or 1")
-    for i, r in enumerate(rows):
-        if not any(r):
+        succ.append(tuple(compress(letters, r)))
+    for i, s in enumerate(succ):
+        if not s:
             raise ZeroRowError(i + 1)
-    # every row has n entries, so zip yields the n columns
-    for j, col in enumerate(zip(*rows)):
-        if not any(col):
-            raise ZeroColumnError(j + 1)
-    return ZeroOneMatrix(n, rows)
+    covered = set(chain.from_iterable(succ))
+    if len(covered) < n:
+        raise ZeroColumnError(min(set(letters) - covered) + 1)
+    return ZeroOneMatrix(n, tuple(succ))
 
 
-def _reachable(succ, start: int) -> set:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in succ[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+def _levels(adj) -> dict:
+    """Breadth-first levels from letter 0 along ``adj``: the fewest steps from
+    0 to each letter it reaches."""
+    level = {0: 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in level:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return level
 
 
 def is_irreducible(a: ZeroOneMatrix) -> bool:
     """True iff the transition graph is strongly connected."""
-    return len(_reachable(a.succ, 0)) == a.n and len(_reachable(a.pred, 0)) == a.n
+    return len(_levels(a.succ)) == a.n and len(_levels(a.pred)) == a.n
 
 
 def is_aperiodic(a: ZeroOneMatrix) -> bool:
@@ -161,19 +175,9 @@ def is_aperiodic(a: ZeroOneMatrix) -> bool:
     """
     if not is_irreducible(a):
         return False
-    succ = a.succ
-    level = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in succ[u]:
-                if v not in level:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
+    level = _levels(a.succ)
     g = 0
-    for u, vs in enumerate(succ):
+    for u, vs in enumerate(a.succ):
         for v in vs:
             g = gcd(g, level[u] + 1 - level[v])
     return abs(g) == 1
@@ -284,12 +288,15 @@ def count_letters(a: ZeroOneMatrix, lo: int, hi: int, limit: int) -> int:
     return total
 
 
-def word_str(word) -> str:
-    """Render a word with 1-based letters; dot-separated once letters exceed 9."""
-    if not word:
-        return ""
+def word_str(word, n: int = 9) -> str:
+    """Render a word over the letters {1, ..., n}, 1-based.
+
+    Over ten or more letters every word of two or more letters is
+    dot-separated, so distinct words of one alphabet render distinctly;
+    over at most nine, the default, the digits are written together.
+    """
     letters = [str(i + 1) for i in word]
-    return ".".join(letters) if any(i >= 9 for i in word) else "".join(letters)
+    return ".".join(letters) if n >= 10 else "".join(letters)
 
 
 def parse_matrix_json(text: str) -> ZeroOneMatrix:
@@ -335,7 +342,7 @@ def parse_matrix_text(text: str) -> ZeroOneMatrix:
             raise MatrixFormatError(f"expected {n} entries per row, got {len(toks)}")
         if not _BIT_TOKENS.issuperset(toks):
             raise MatrixFormatError(f"non-0/1 token in row: {_clip(repr(line.strip()))}")
-        # tuples: validate_matrix then keeps each row as it is, with no copy
+        # validate_matrix keeps only the row's successor list
         rows.append(tuple(map(int, toks)))
     return validate_matrix(rows)
 

@@ -1,9 +1,12 @@
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ckdual.sft import (
     MatrixFormatError,
+    MatrixValidationError,
     NonBinaryEntryError,
     NotSquareError,
     ZeroColumnError,
@@ -27,6 +30,45 @@ from helpers import FIB, IDENT2, SWAP, all_valid_matrices, is_admissible, ones, 
 def test_validate_accepts_fibonacci_and_identity():
     assert validate_matrix([[1, 1], [1, 0]]).rows == ((1, 1), (1, 0))
     assert validate_matrix([[1, 0], [0, 1]]).n == 2
+
+
+def _first_rejection(raw) -> str:
+    with pytest.raises(MatrixValidationError) as err:
+        validate_matrix(raw)
+    return str(err.value)
+
+
+def test_validate_rejection_order():
+    # every entry is checked before any row is tested for zeros
+    assert _first_rejection([[0, 0], [1, 2]]) == "entry 2 is not 0 or 1"
+    # a zero row is named before a zero column
+    assert _first_rejection([[0, 0, 0], [0, 1, 1], [0, 1, 1]]) == "row 1 is entirely zero"
+    # the lowest zero column is named
+    assert _first_rejection([[1, 0, 0]] * 3) == "column 2 is entirely zero"
+
+
+def test_validate_accepts_a_generator_of_rows():
+    assert validate_matrix(r for r in [[1, 1], [1, 0]]) == FIB
+    assert validate_matrix(iter(r) for r in [[1, 1], [1, 0]]) == FIB
+
+
+@st.composite
+def _valid_rows(draw):
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(all(any(r) for r in rows) and all(any(c) for c in zip(*rows)))
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_valid_rows())
+def test_dense_views_round_trip(rows):
+    a = validate_matrix(rows)
+    n = len(rows)
+    assert a.rows == tuple(map(tuple, rows))
+    assert a.to_json() == {"n": n, "rows": rows}
+    assert all(a.entry(i, j) == rows[i][j] for i in range(n) for j in range(n))
+    assert a.transpose().rows == tuple(zip(*rows))
 
 
 def test_validate_rejections():
@@ -218,9 +260,18 @@ def test_transpose_examples():
 
 
 def test_word_str_rendering():
-    assert word_str((0, 1)) == "12"
-    assert word_str(()) == ""
-    assert word_str((0, 9)) == "1.10"
+    assert word_str((0, 1), 2) == "12"
+    assert word_str((0, 1)) == "12"  # the default alphabet has nine letters
+    assert word_str((), 12) == ""
+    assert word_str((9,), 12) == "10"
+    assert word_str((0, 1), 12) == "1.2"
+    assert word_str((0, 9), 10) == "1.10"
+
+
+def test_word_str_is_injective_over_twelve_letters():
+    a = ones(12)
+    words = enumerate_words(a, 0, 3)
+    assert len({word_str(w, a.n) for w in words}) == len(words) == 1 + 12 + 144 + 1728
 
 
 def test_parse_json_rejects_garbage_and_mismatch():
