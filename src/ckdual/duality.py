@@ -20,8 +20,10 @@ shift/isometry relations that present the Toeplitz algebra tensor O_A.
 
 The quotient map is carried by the elements, not by the Fock operators: the
 hybrid generators supply the image of their operator in O_A (x) O_{A^T}
-(R_i -> 1 (x) t_i, L_k -> s_k (x) 1, P -> 0), and the algebra
-acts on the images alongside the terms.
+(R_i -> 1 (x) t_i, L_k -> s_k (x) 1, P -> 0).  Each term as written keeps
+one image, that operator image tensored with its symbolic factor, an
+element of O_A (x) O_{A^T} (x) O_A; the algebra acts on these images as
+elements, alongside the terms, and the quotient image is their sum.
 
 Truncation is carried as on a ``FockOperator``: every element has
 ``raise_len`` and ``lower_len``, bounds over every operator it was built
@@ -52,8 +54,9 @@ class HybridElement:
 
     ``terms`` is merged by operator value (``FockOperator`` equality and hash
     are by matrix), in order of first appearance.  ``prov`` keeps the
-    unmerged data of the quotient map, a pair (q, ck) per term as written,
-    with q the image of its operator in O_A (x) O_{A^T}; merging and
+    unmerged data of the quotient map, one element q (x) ck of
+    O_A (x) O_{A^T} (x) O_A per term as written, with q the image of its
+    operator in O_A (x) O_{A^T} and ck its symbolic factor; merging and
     truncation can empty a term whose image is not zero.  It is None for an
     element built from raw operators.  ``raise_len`` and ``lower_len`` are
     fixed before merging, as the maximum over every constituent operator:
@@ -90,7 +93,7 @@ class HybridElement:
         return HybridElement(
             self.basis,
             [(op, ck.scale(c)) for op, ck in self.terms],
-            None if self.prov is None else [(q, ck.scale(c)) for q, ck in self.prov],
+            None if self.prov is None else [q.scale(c) for q in self.prov],
             self.raise_len,
             self.lower_len,
         )
@@ -99,7 +102,7 @@ class HybridElement:
         return HybridElement(
             self.basis,
             [(op.adjoint(), ck.adjoint()) for op, ck in self.terms],
-            None if self.prov is None else [(q.adjoint(), ck.adjoint()) for q, ck in self.prov],
+            None if self.prov is None else [q.adjoint() for q in self.prov],
             self.lower_len,
             self.raise_len,
         )
@@ -121,10 +124,13 @@ def _merge_terms(terms):
 
 def hybrid(basis: FockBasis, pairs, images=None) -> HybridElement:
     """The sum of the (operator, ck) pairs.  ``images`` gives the quotient
-    image of each operator in O_A (x) O_{A^T}, in order; without it the
-    element has no quotient image."""
+    image q of each operator in O_A (x) O_{A^T}, in order, and the term's
+    image is q (x) ck; without it the element has no quotient image."""
     pairs = list(pairs)  # read three times: terms, images and bounds
-    prov = None if images is None else list(zip(images, (ck for _op, ck in pairs), strict=True))
+    prov = None if images is None else [
+        TensorElement(q.factors + ck.factors, {qk + k: c * c2 for qk, c in q.terms.items()
+                                               for k, c2 in ck.terms.items()})
+        for q, (_op, ck) in zip(images, pairs, strict=True)]
     return HybridElement(basis, pairs, prov,
                          max((op.raise_len for op, _ in pairs), default=0),
                          max((op.lower_len for op, _ in pairs), default=0))
@@ -137,15 +143,14 @@ def _pair_factors(basis: FockBasis):
 
 def hybrid_mul(x: HybridElement, y: HybridElement) -> HybridElement:
     """xy.  A pair of terms whose symbolic product has no terms is skipped
-    before its Fock product is built, as the merge would drop it, and a pair
-    whose image product has no terms leaves ``prov``.  The bounds still add
-    over every pair."""
+    before its Fock product is built, as the merge would drop it.  Each pair
+    of images is multiplied once, and a product with no terms leaves
+    ``prov``.  The bounds still add over every pair."""
     x._compatible(y)
     terms = [(op1 @ op2, ck) for op1, ck1 in x.terms for op2, ck2 in y.terms
              if (ck := ck1 * ck2).terms]
     prov = None if x.prov is None or y.prov is None else [
-        (q, ck1 * ck2) for q1, ck1 in x.prov for q2, ck2 in y.prov
-        if (q := ckalg.ck_multiply(q1, q2)).terms]
+        q for q1 in x.prov for q2 in y.prov if (q := q1 * q2).terms]
     return HybridElement(x.basis, terms, prov, x.raise_len + y.raise_len,
                          x.lower_len + y.lower_len)
 
@@ -235,20 +240,14 @@ def hybrid_defects(x: HybridElement, y: HybridElement):
 def quotient_image(x: HybridElement) -> TensorElement:
     """Image in O_A (x) O_{A^T} (x) O_A under R_i -> 1 (x) t_i, L_i -> s_i (x) 1,
     vacuum projection -> 0, with the symbolic factor carried to the third leg:
-    the sum of q (x) ck over ``x.prov``.
+    the sum of the images in ``x.prov``.
 
     Only defined for elements built from the hybrid generators; an element
     built from raw operators has no image and raises ``ValueError``.
     """
     if x.prov is None:
         raise ValueError("the element was built from raw operators and has no quotient image")
-    out = {}
-    for q, ck in x.prov:
-        for keys, c in q.terms.items():
-            for key2, c2 in ck.terms.items():
-                key = keys + key2
-                out[key] = out.get(key, 0) + c * c2
-    return TensorElement(ckalg.triple_factors(x.basis.matrix), out)
+    return sum(x.prov, ckalg.tensor_zero(ckalg.triple_factors(x.basis.matrix)))
 
 
 # ---------------------------------------------------------------------------

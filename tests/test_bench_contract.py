@@ -100,11 +100,22 @@ FAMILIES = {
 # 13 + 22 + 16 distinct entries, and the 3 ``tensor_equal`` calls of the
 # quotient items (W i, V i(k=1), V i(k=2)) test one difference each.  A scan
 # that zero-tests every cell makes 123.
+#
+# ``ckalg.multiply_calls`` counts 122 symbolic products of pairs of terms,
+# 122 products of pairs of quotient images (one per pair of ``prov``
+# entries, each entry the image q (x) ck of one term) and the 2 products
+# alpha_z* (s_k (x) 1 (x) 1) of V i(k).  ``duality.prov_out`` counts the 76
+# nonzero image products that the hybrid products keep.  Images kept as
+# pairs (q, ck) and multiplied half by half would keep the 98 pairs whose
+# q1 q2 is nonzero, 22 of them with ck1 ck2 = 0, and make the second
+# multiply ck1 ck2 for each of the 98: 344 multiplies and 98 entries, so
+# both pins fail there.
 EXACT_COUNTS = {
     "fock-relations": {"fock.adjoint_calls": 6, "fock.matmul_calls": 26,
                        "fock.matmul_nnz": 133},
     "hybrid-lemmas": {"fock.adjoint_calls": 14, "fock.matmul_calls": 98,
-                      "fock.matmul_nnz": 411, "ckalg.is_zero_calls": 54},
+                      "fock.matmul_nnz": 411, "ckalg.is_zero_calls": 54,
+                      "ckalg.multiply_calls": 246, "duality.prov_out": 76},
 }
 
 

@@ -252,6 +252,27 @@ def test_hybrid_reads_an_iterator_of_pairs_once():
     assert ckalg.tensor_equal(quotient_image(w), ckalg.alpha_z(a))
 
 
+def test_each_image_is_one_triple_element():
+    # each term as written keeps one image q (x) ck in O_A (x) O_{A^T} (x) O_A,
+    # and a product keeps the nonzero products of the pairs of images
+    a = MIXED4
+    b = FockBasis(a, 3)
+    triple = ckalg.triple_factors(a)
+    w = build_W(b)
+    w_star, l2 = w.adjoint(), left_creation_tensor_unit(b, 2)
+    assert w.prov == tuple(ckalg.tensor_elem(triple, (((), ()), ((i,), ()), ((), (i,))))
+                           for i in range(a.n))
+    assert w_star.prov == tuple(q.adjoint() for q in w.prov)
+    v2, ww_star = hybrid_mul(w_star, l2), hybrid_mul(w, w_star)
+    # in WW* the order matters: t_i t_j* (x) s_i* s_j, not t_j* t_i (x) s_j s_i*
+    for x, (y, z) in ((v2, (w_star, l2)), (ww_star, (w, w_star))):
+        assert x.prov == tuple(p for q1 in y.prov for q2 in z.prov
+                               if (p := ckalg.ck_multiply(q1, q2)).terms)
+    p_s1 = vacuum_tensor(b, ckalg.ck_generator(triple[0], 1))
+    for x in (w, w_star, l2, v2, ww_star, w.scale(-2) + l2, p_s1):
+        assert all(isinstance(q, ckalg.TensorElement) and q.factors == triple for q in x.prov)
+
+
 def test_quotient_kills_vacuum_terms():
     a = ones(2)
     b = FockBasis(a, 4)
