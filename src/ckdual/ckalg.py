@@ -158,9 +158,6 @@ class TensorElement:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.factors, frozenset(self.terms.items())))
-
     def __add__(self, other):
         _same_factors(self, other)
         out = dict(self.terms)

@@ -29,10 +29,11 @@ Truncation is carried as on a ``FockOperator``: every element has
 ``raise_len`` and ``lower_len``, bounds over every operator it was built
 from, including terms that cancel in a sum or are empty after truncation, so
 ``valid_up_to = m_max - raise_len`` is sound for the element as written.
-Comparisons make one pass over the partial maps of the difference of the
-two sides inside their shared valid domain; each distinct entry of that
-difference is zero-tested and rendered once per scan, however many cells
-hold it, and every discrepancy is reported as a ``fock.DefectColumn``
+A comparison merges the terms of one side with the negated terms of the
+other, builds no element for their difference, and makes one pass over the
+partial maps of the merged terms inside the two sides' shared valid domain;
+each distinct entry is zero-tested and rendered once per scan, however many
+cells hold it, and every discrepancy is reported as a ``fock.DefectColumn``
 whose entries are rendered symbolic factors - a defect is a first-class
 output, not a failure of the engine.
 Words are rendered in ``ckdual.fock``; this module handles basis positions.
@@ -41,7 +42,7 @@ Words are rendered in ``ckdual.fock``; this module handles basis positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 
 from . import ckalg
@@ -52,11 +53,11 @@ from .fock import BasisMismatchError, FockBasis, build_creation, defect_column, 
 class HybridElement:
     """Sum of (FockOperator, one-factor TensorElement) pairs over a shared basis.
 
-    ``terms`` is merged by operator value (``FockOperator`` equality and hash
-    are by matrix), in order of first appearance.  ``prov`` keeps the
-    unmerged data of the quotient map, one element q (x) ck of
-    O_A (x) O_{A^T} (x) O_A per term as written, with q the image of its
-    operator in O_A (x) O_{A^T} and ck its symbolic factor; merging and
+    ``terms`` is merged by operator value (``FockOperator`` equality is by
+    matrix, and its hash is the support size), in order of first appearance.
+    ``prov`` keeps the unmerged data of the quotient map, one element q (x)
+    ck of O_A (x) O_{A^T} (x) O_A per term as written, with q the image of
+    its operator in O_A (x) O_{A^T} and ck its symbolic factor; merging and
     truncation can empty a term whose image is not zero.  It is None for an
     element built from raw operators.  ``raise_len`` and ``lower_len`` are
     fixed before merging, as the maximum over every constituent operator:
@@ -113,6 +114,8 @@ class HybridElement:
 
 
 def _merge_terms(terms):
+    """The (operator, ck) pairs summed by operator value, in order of first
+    appearance, with empty operators and zero sums dropped."""
     merged = {}
     for op, ck in terms:
         if not op.tgt or not ck.terms:
@@ -188,23 +191,23 @@ def hybrid_zero(basis: FockBasis) -> HybridElement:
 def hybrid_defects(x: HybridElement, y: HybridElement):
     """Columns of the shared valid domain where x and y differ; exact entries.
 
-    The scan reads the difference d = x - y, whose terms are merged by
-    operator with cancelled terms dropped, so a term that cancels between
-    the two sides is never scanned; its valid domain is the shared one.
-    One pass over the ``tgt``/``coef`` maps of its terms keys each entry
-    inside the domain by the (term index, weight) pairs of the terms that
-    map its column to its row, in term order.  The entry is the sum of
-    weight times symbolic factor over those pairs, so the key determines
-    it, and each distinct key is summed, zero-tested and rendered once per
-    scan.  The nonzero entries are emitted in basis order, columns first,
-    then rows, as ``fock.DefectColumn`` values with the symbolic factor as
-    a string.
+    The terms of x and the negated terms of y are merged by operator in one
+    ``_merge_terms`` call, with cancelled terms dropped, so a term that
+    cancels between the two sides is never scanned; no difference element,
+    second merge or quotient image is built.  The domain is the smaller of
+    the two valid domains.  One pass over the ``tgt``/``coef`` maps of the
+    merged terms keys each entry inside the domain by the (term index,
+    weight) pairs of the terms that map its column to its row, in term
+    order.  The entry is the sum of weight times symbolic factor over those
+    pairs, so the key determines it, and each distinct key is summed,
+    zero-tested and rendered once per scan.  The nonzero entries are
+    emitted in basis order, columns first, then rows, as
+    ``fock.DefectColumn`` values with the symbolic factor as a string.
     """
-    d = x - y
-    basis = d.basis
-    valid = d.valid_up_to
-    end = basis.end_of_length(valid)
-    terms, size = d.terms, basis.size
+    x._compatible(y)
+    basis, valid = x.basis, min(x.valid_up_to, y.valid_up_to)
+    end, size = basis.end_of_length(valid), basis.size
+    terms = _merge_terms(chain(x.terms, [(op, -ck) for op, ck in y.terms]))
     # cell j * size + i (column j, row i) -> key (term index, weight, ...);
     # weight 1 shares one (t, 1) per term, so a one-term cell allocates no key
     cells = {}

@@ -40,19 +40,20 @@ So an operator is a weighted partial map: ``tgt`` (column -> row) over its
 nonzero columns, and ``coef`` (column -> int) over only the columns whose
 weight is not 1, which readers take as ``coef.get(j, 1)``.  The creation
 operators, P, their adjoints and every product of them carry an empty
-``coef``.  The form is canonical (the keys of ``coef`` lie in
-``tgt``, and no stored weight is 0 or 1), so equality and hash compare the
-two maps.  A result with two entries in one column (a sum whose operands
+``coef``.  The form is canonical (the keys of ``coef`` lie in ``tgt``, and
+no stored weight is 0 or 1), so equality compares the two maps.  The hash is
+the size of the support, ``len(tgt)``, which equal operators share; nothing
+is cached.  A result with two entries in one column (a sum whose operands
 send a column to different rows, or the adjoint of a map that is not
 injective) raises ``ValueError`` naming the column.  Every column and row
 integer is the entry of ``FockBasis.positions``, one int object per basis
-position shared by every operator on the basis: the creation operators
-draw them from it, and products, sums, adjoints and ``upto`` only move
-their operands' integers.  Operators are immutable and ``scale`` shares
-``tgt``: no map reached through an operator (``tgt``, ``coef``, ``cols`` or
+position shared by every operator on the basis: the creation operators draw
+them from it, and products, sums, adjoints and ``upto`` only move their
+operands' integers.  Operators are immutable and ``scale`` shares ``tgt``:
+no map reached through an operator (``tgt``, ``coef``, ``cols`` or
 ``column``) may be mutated.  An operator records nothing of how it was
-built; the quotient map onto O_A (x) O_{A^T} lives on the hybrid elements
-of ``ckdual.duality``.
+built; the quotient map onto O_A (x) O_{A^T} lives on the hybrid elements of
+``ckdual.duality``.
 
 Creation operators are indexed arithmetically, with no word built or looked
 up.  L_k maps its sources, the vacuum and the words w of length < m_max with
@@ -133,11 +134,13 @@ class FockOperator:
     columns whose weight is not 1 (an absent weight is 1), the length bounds
     ``raise_len`` and ``lower_len``, and the valid domains derived from them.
     The integers in ``tgt`` are the basis's shared ``positions``.  Equality
-    and hash are by matrix on the same basis, whatever the bounds; the hash
-    is cached on first use.
+    is by matrix on the same basis, whatever the bounds.  The hash is the
+    support size alone, so it costs O(1), keeps nothing, and agrees with
+    ``==`` because equal operators have equal supports; operators of equal
+    support size share a hash and are told apart by ``==``.
     """
 
-    __slots__ = ("basis", "tgt", "coef", "raise_len", "lower_len", "_hash")
+    __slots__ = ("basis", "tgt", "coef", "raise_len", "lower_len")
 
     def __init__(self, basis, tgt, coef, raise_len, lower_len):
         self.basis = basis
@@ -145,7 +148,6 @@ class FockOperator:
         self.coef = coef
         self.raise_len = raise_len
         self.lower_len = lower_len
-        self._hash = None
 
     @property
     def valid_up_to(self) -> int:
@@ -241,9 +243,7 @@ class FockOperator:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((frozenset(self.tgt.items()), frozenset(self.coef.items())))
-        return self._hash
+        return len(self.tgt)
 
 
 def zero(basis: FockBasis) -> FockOperator:
@@ -270,9 +270,9 @@ def build_creation(basis: FockBasis, side: str, k: int) -> FockOperator:
         raise ValueError(f"letter {k} out of range 1..{a.n}")
     k0 = k - 1
     if side == "left":
-        letters, fits = basis.first_letters, frozenset(a.succ[k0])
+        letters, fits = basis.first_letters, set(a.succ[k0])
     else:
-        letters, fits = basis.last_letters, frozenset(a.pred[k0])
+        letters, fits = basis.last_letters, set(a.pred[k0])
     is_k = [c == k0 for c in range(a.n)]
     pos = basis.positions
     sources = chain((0,), compress(islice(pos, 1, basis.end_of_length(basis.m_max - 1)),

@@ -21,9 +21,17 @@ U M V = S for the Smith form.
 ``ktheory`` amalgamates away.  It too reads adjacency through ``entry``
 alone and calls nothing in ``ckdual.ktheory``, which ``test_oracles.py``
 enforces in the same way.
+
+``det_one_minus_from_periodic_points`` is a dynamical oracle for the
+K-theory: it reads det(1 - A) off the periodic points of the shift, with no
+linear algebra.  It reads adjacency through ``entry`` alone and uses
+nothing of ``ckdual.zlinalg`` or ``ckdual.ktheory``, which
+``test_oracles.py`` enforces too.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from ckdual import ckalg
 from ckdual.fock import FockBasis, build_creation
@@ -99,6 +107,38 @@ def matmul(x: IntMatrix, y: IntMatrix) -> IntMatrix:
     return IntMatrix(x.rows, y.cols, tuple(
         tuple(sum(x.entries[i][k] * y.entries[k][j] for k in range(x.cols)) for j in range(y.cols))
         for i in range(x.rows)))
+
+
+def periodic_point_counts(a: ZeroOneMatrix, k_max: int) -> list:
+    """[p_1, ..., p_k_max]: p_k counts the admissible words w of length k with
+    A[w_k][w_1] = 1, the points of period k of the shift, which is tr(A^k).
+    The words are grown one letter at a time, depth first."""
+    n = a.n
+    counts = [0] * k_max
+    stack = [(i,) for i in range(n)]
+    while stack:
+        w = stack.pop()
+        counts[len(w) - 1] += a.entry(w[-1], w[0])
+        if len(w) < k_max:
+            stack += [w + (j,) for j in range(n) if a.entry(w[-1], j)]
+    return counts
+
+
+def det_one_minus_from_periodic_points(a: ZeroOneMatrix) -> int:
+    """det(1 - A) from p_1..p_n alone.
+
+    det(I - tA) = c_0 + c_1 t + ... + c_n t^n has c_0 = 1, and its
+    logarithm is -sum_k p_k t^k / k, so Newton's identities give
+    k c_k = -(p_1 c_{k-1} + ... + p_k c_0) (Lind & Marcus 1995, sec. 6.4).
+    At t = 1 this is det(1 - A) = c_0 + ... + c_n.
+    """
+    p = periodic_point_counts(a, a.n)
+    c = [Fraction(1)]
+    for k in range(1, a.n + 1):
+        c.append(-sum(p[i - 1] * c[k - i] for i in range(1, k + 1)) / k)
+    det = sum(c)
+    assert det.denominator == 1
+    return int(det)
 
 
 # ---------------------------------------------------------------------------

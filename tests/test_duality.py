@@ -85,6 +85,20 @@ def test_hybrid_merges_terms_by_operator_value():
     assert hybrid(b, [(proj, s1), (l1_again @ l1_again.adjoint(), -s1)]).terms == ()
 
 
+def test_operators_of_equal_support_size_stay_separate_terms():
+    # the hash is the support size, so L_1 and L_2 on a full shift share it;
+    # the merge tells them apart by ==
+    b = FockBasis(ones(2), 3)
+    tag = ckalg.o_a(b.matrix)
+    l1, l2 = build_creation(b, "left", 1), build_creation(b, "left", 2)
+    assert hash(l1) == hash(l2) and l1 != l2
+    s1 = ckalg.ck_generator(tag, 1)
+    x = hybrid(b, [(l1, s1), (l2, s1)])
+    assert [op for op, _ck in x.terms] == [l1, l2]
+    _valid, defects = hybrid_defects(hybrid(b, [(l1, s1)]), hybrid(b, [(l2, s1)]))
+    assert [d.column for d in defects] == ["", "1", "2", "11", "12", "21", "22"]
+
+
 def test_lemma_coefficients_stay_integers():
     for a in (ones(2), FIB):
         w = build_W(FockBasis(a, 4))
@@ -491,6 +505,24 @@ def test_defect_scan_matches_dense_reference():
                     seen_defects += bool(got[1])
                     seen_clean += not got[1]
     assert seen_defects > 50 and seen_clean > 20, (seen_defects, seen_clean)
+
+
+def test_scan_of_two_sides_equals_scan_of_their_difference(monkeypatch):
+    """``hybrid_defects(x, y)`` merges the two sides without building x - y;
+    on the random families of the two tests it runs, it must report what the
+    scan of the built difference against zero reports."""
+    scan, seen = hybrid_defects, []
+
+    def both_ways(x, y):
+        got = scan(x, y)
+        assert got == scan(x - y, hybrid_zero(x.basis))
+        seen.append(bool(got[1]))
+        return got
+
+    monkeypatch.setitem(globals(), "hybrid_defects", both_ways)
+    test_adjoint_coherence_random_hybrids()
+    test_defect_scan_matches_dense_reference()
+    assert len(seen) == 290 and sum(seen) > 50, (len(seen), sum(seen))
 
 
 def test_defect_scan_keys_entries_by_terms_and_weights():

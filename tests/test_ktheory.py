@@ -31,7 +31,7 @@ from helpers import (
     random_valid_matrix,
     relation_family,
 )
-from oracles import one_minus
+from oracles import det_one_minus_from_periodic_points, one_minus, periodic_point_counts
 
 
 def _ktheory_json(tmp_path, a) -> str:
@@ -86,6 +86,31 @@ def test_higher_block_conjugacy_invariance():
     assert k_groups(MIXED4).o_a.k0 == FGAbelianGroup(0, (2,))
     # sizes: admissible words of length N
     assert [higher_block(MIXED4, b).n for b in (2, 3, 4)] == [10, 26, 67]
+
+
+def test_periodic_points_give_det_one_minus_and_the_order_of_k0():
+    # the dynamical oracle: det(1 - A) from the periodic-point counts p_1..p_n
+    # equals Bareiss on the dense 1 - A, and K_0(O_A) is finite of order
+    # |det(1 - A)| when that is nonzero, infinite when it is zero
+    family = all_valid_matrices(2) + all_valid_matrices(3)
+    assert len(family) == 272
+    for a in family:
+        det = det_one_minus_from_periodic_points(a)
+        assert det == determinant(one_minus(a)), a.rows
+        k0 = k_groups(a).o_a.k0
+        if det:
+            assert k0.free_rank == 0 and math.prod(k0.torsion) == abs(det), a.rows
+        else:
+            assert k0.free_rank >= 1, a.rows
+
+
+def test_higher_blocks_count_the_periodic_points_of_their_base():
+    # A^[N] is conjugate to A, so the shifts have the same points of each period
+    assert periodic_point_counts(FIB, 8) == [1, 3, 4, 7, 11, 18, 29, 47]  # Lucas numbers
+    for a in (FIB, MIXED4):
+        counts = periodic_point_counts(a, 8)
+        for block in (2, 3):
+            assert periodic_point_counts(higher_block(a, block), 8) == counts, (a.rows, block)
 
 
 def test_bowen_franks():

@@ -4,7 +4,9 @@
 function of that file it calls, must read adjacency through ``entry`` alone,
 so none may read ``succ`` or ``pred`` or use a name bound to ``ckdual.ckalg``.
 The dense reference ``one_minus``, with what it calls, keeps the same rule
-against ``ckdual.ktheory``, whose presentation it checks.
+against ``ckdual.ktheory``, whose presentation it checks.  The periodic-point
+oracle keeps it against ``ckdual.zlinalg`` and ``ckdual.ktheory``, whose
+determinant and groups it checks.
 """
 
 import ast
@@ -16,6 +18,8 @@ WORD_MODEL = ("_annihilate", "_create", "pair_action_on_word", "ck_action_on_wor
               "ck_compose_on_word")
 
 DENSE_REFERENCE = ("one_minus",)
+
+PERIODIC_POINTS = ("det_one_minus_from_periodic_points",)
 
 FORBIDDEN_ATTRIBUTES = {"succ", "pred"}
 
@@ -37,22 +41,27 @@ def _names_bound_to(tree, module: str) -> set:
 
 
 def word_model_violations(source: str) -> list:
-    return _violations(source, "word-model", WORD_MODEL, "ckalg")
+    return _violations(source, "word-model", WORD_MODEL, ("ckalg",))
 
 
 def dense_reference_violations(source: str) -> list:
-    return _violations(source, "dense-reference", DENSE_REFERENCE, "ktheory")
+    return _violations(source, "dense-reference", DENSE_REFERENCE, ("ktheory",))
 
 
-def _violations(source: str, kind: str, roots: tuple, module: str) -> list:
-    """Every read of ``succ``/``pred`` and every name bound to ``ckdual.<module>``
-    in the functions ``roots`` and the module functions they reach."""
+def periodic_point_violations(source: str) -> list:
+    return _violations(source, "periodic-point", PERIODIC_POINTS, ("zlinalg", "ktheory"))
+
+
+def _violations(source: str, kind: str, roots: tuple, modules: tuple) -> list:
+    """Every read of ``succ``/``pred`` and every name bound to one of
+    ``ckdual.<module>`` for ``modules``, in the functions ``roots`` and the
+    module functions they reach."""
     tree = ast.parse(source)
     functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
     missing = [name for name in roots if name not in functions]
     if missing:
         return [f"{kind} function {name} is missing" for name in missing]
-    forbidden = _names_bound_to(tree, module)
+    forbidden = {name: module for module in modules for name in _names_bound_to(tree, module)}
     todo, seen, problems = list(roots), set(), []
     while todo:
         name = todo.pop()
@@ -66,7 +75,8 @@ def _violations(source: str, kind: str, roots: tuple, module: str) -> list:
                 problems.append(f"{name} names {node.value!r} (line {node.lineno})")
             elif isinstance(node, ast.Name):
                 if node.id in forbidden:
-                    problems.append(f"{name} uses {node.id} from ckdual.{module} (line {node.lineno})")
+                    problems.append(f"{name} uses {node.id} from ckdual.{forbidden[node.id]} "
+                                    f"(line {node.lineno})")
                 elif node.id in functions:
                     todo.append(node.id)
     return problems
@@ -115,3 +125,30 @@ def test_dense_reference_check_catches_each_kind_of_violation():
         assert len(problems) == 1 and what in problems[0], (what, problems)
     renamed = source.replace("def one_minus(", "def dense_one_minus(")
     assert dense_reference_violations(renamed) == ["dense-reference function one_minus is missing"]
+
+
+def test_periodic_points_read_neither_succ_nor_zlinalg_nor_ktheory():
+    assert periodic_point_violations(ORACLES.read_text(encoding="utf-8")) == []
+
+
+def test_periodic_point_check_catches_each_kind_of_violation():
+    source = ORACLES.read_text(encoding="utf-8")
+    grow = "[w + (j,) for j in range(n) if a.entry(w[-1], j)]"
+    newton = "    p = periodic_point_counts(a, a.n)\n"
+    assert source.count(grow) == 1 and source.count(newton) == 1
+    mutants = {
+        "reads .succ": source.replace(grow, "[w + (j,) for j in a.succ[w[-1]]]"),
+        "reads .pred": source.replace(grow, "[w + (j,) for j in range(n) if w[-1] in a.pred[j]]"),
+        "uses IntMatrix from ckdual.zlinalg": source.replace(
+            newton, newton + "    IntMatrix.from_rows([[1]])\n"),
+        "uses ktheory from ckdual.ktheory": source.replace(
+            "from ckdual import ckalg\n", "from ckdual import ckalg, ktheory\n").replace(
+            newton, newton + "    ktheory.k_groups(a)\n"),
+    }
+    for what, mutant in mutants.items():
+        problems = periodic_point_violations(mutant)
+        assert len(problems) == 1 and what in problems[0], (what, problems)
+    renamed = source.replace("def det_one_minus_from_periodic_points(",
+                             "def det_from_periodic_points(")
+    assert periodic_point_violations(renamed) == [
+        "periodic-point function det_one_minus_from_periodic_points is missing"]
