@@ -9,14 +9,34 @@ output - so they exit 1, distinct from crashes.  The duality report is the
 ``--duality`` block of ``ktheory``; its flags are identities of the
 presentation pair (``ktheory.duality_report``), so it never sets the exit
 code.
+
+The command line is read against one table, ``COMMANDS``: each command maps
+to its handler's name, its help line and its options, and each option to a
+parse function (None for a flag), a default (or ``REQUIRED``) and a help
+line.  ``main`` accepts ``--opt value``, ``--opt=value`` and any unique
+prefix of a long option, as argparse did, and ``-h`` or ``--help``
+anywhere on the line.  A command line the table rejects
+(no or unknown command, unknown or ambiguous option, missing value or
+required option, bad integer or choice) raises ``UsageError``; ``main``
+prints ``usage: ...`` and ``ckdual: error: ...`` on stderr and raises
+``SystemExit(2)``.  Help is built from the same table and raises
+``SystemExit(0)``.
+
+Each ``ckdual`` call is a process of its own, so what a call costs before
+its handler runs is paid once per call.  Nothing here imports argparse,
+gettext or locale (building argparse's parser imported ``locale`` through
+gettext and took about 4 ms a call), and import builds only the table: no
+parser, no regex, and help is laid out only when asked for.  Import-time
+work would only move the cost from the call into start-up, which a
+separate process pays just the same.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import duality as dualitymod
 from . import fock, ktheory, sft
@@ -269,8 +289,12 @@ def cmd_pairing(args) -> int:
     return EXIT_OK if report.holds else EXIT_DEFECTS
 
 
+class UsageError(Exception):
+    """A command line that ``COMMANDS`` rejects; ``main`` exits 2 on it."""
+
+
 def _length(flag: str, least: int):
-    """The argparse type of the integer option ``flag``, at least ``least``."""
+    """The parse function of the integer option ``flag``, at least ``least``."""
 
     def parse(value: str) -> int:
         try:
@@ -279,71 +303,119 @@ def _length(flag: str, least: int):
             text = value.strip()
             digits = text[1:] if text[:1] in ("+", "-") else text
             if not digits.isdecimal():
-                raise argparse.ArgumentTypeError(f"{flag} must be an integer") from None
+                raise UsageError(f"{flag} must be an integer") from None
             # an integer past Python's limit on int-string conversion
-            raise argparse.ArgumentTypeError(f"{flag} is too long: {len(digits)} digits") from None
+            raise UsageError(f"{flag} is too long: {len(digits)} digits") from None
         if m < least:
-            raise argparse.ArgumentTypeError(f"{flag} must be >= {least}")
+            raise UsageError(f"{flag} must be >= {least}")
         return m
 
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ckdual",
-        description=(
-            "Exact K-theory of Cuntz-Krieger algebras and verification of the "
-            "restricted Fock space operator identities for a shift of finite type."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _choice(flag: str, default: str, *names: str) -> tuple:
+    """The ``COMMANDS`` entry of the option ``flag``: one of ``names``, ``default`` if not given."""
 
-    def common(p, max_length=False):
-        p.add_argument("--matrix", required=True, help="matrix file (JSON or plain text)")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        if max_length:
-            p.add_argument(
-                "--max-length", type=_length("--max-length", 2), default=5,
-                help="Fock truncation length m_max (default 5)",
-            )
+    def parse(value: str) -> str:
+        if value not in names:
+            choices = ", ".join(map(repr, names))
+            raise UsageError(f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+        return value
 
-    p = sub.add_parser("validate", help="validate the matrix; report aperiodicity and the Cantor check")
-    common(p)
-    p.set_defaults(func=cmd_validate)
+    return parse, default, f"one of {', '.join(names)} (default {default})"
 
-    p = sub.add_parser("words", help="list admissible words of a given length")
-    common(p)
-    p.add_argument("--length", type=_length("--length", 0), required=True)
-    p.set_defaults(func=cmd_words)
 
-    p = sub.add_parser("ktheory", help="K-theory and K-homology of O_A and O_{A^T}")
-    common(p)
-    p.add_argument("--duality", action="store_true", help="include the duality report")
-    p.set_defaults(func=cmd_ktheory)
+REQUIRED = object()
 
-    p = sub.add_parser("fock-verify", help="verify the creation-operator relations")
-    common(p, max_length=True)
-    p.add_argument("--relation", choices=["i", "ii", "iii", "iv", "all"], default="all")
-    p.set_defaults(func=cmd_fock_verify)
+# command -> (handler name, help line, options); option -> (parse function,
+# or None for a flag; default, or REQUIRED; help).  A handler is named, not
+# bound: ``main`` looks it up in the module when a call runs, so a handler
+# replaced on the module is the one called, and ``cmd_x.__name__`` (not a
+# string) fails at import once ``cmd_x`` is renamed.
+_COMMON = {"--matrix": (str, REQUIRED, "matrix file (JSON or plain text)"),
+           "--json": (None, False, "machine-readable output")}
+_FOCK = {**_COMMON, "--max-length": (_length("--max-length", 2), 5, "Fock truncation m_max (default 5)")}
+COMMANDS = {
+    "validate": (cmd_validate.__name__, "validate the matrix; report aperiodicity, Cantor check", _COMMON),
+    "words": (cmd_words.__name__, "list admissible words of a given length",
+              {**_COMMON, "--length": (_length("--length", 0), REQUIRED, "word length, at least 0")}),
+    "ktheory": (cmd_ktheory.__name__, "K-theory and K-homology of O_A and O_{A^T}",
+                {**_COMMON, "--duality": (None, False, "include the duality report")}),
+    "fock-verify": (cmd_fock_verify.__name__, "verify the creation-operator relations",
+                    {**_FOCK, "--relation": _choice("--relation", "all", "i", "ii", "iii", "iv", "all")}),
+    "lemma-verify": (cmd_lemma_verify.__name__, "verify the W / V_k / Toeplitz identities",
+                     {**_FOCK, "--which": _choice("--which", "W", "W", "V", "toeplitz")}),
+    "pairing": (cmd_pairing.__name__, "per-sector index of the rotation operator X = sum L_i* R_i", _FOCK),
+}
 
-    p = sub.add_parser("lemma-verify", help="verify the W / V_k / Toeplitz identities")
-    common(p, max_length=True)
-    p.add_argument("--which", choices=["W", "V", "toeplitz"], default="W")
-    p.set_defaults(func=cmd_lemma_verify)
 
-    p = sub.add_parser("pairing", help="per-sector index of the rotation operator X = sum L_i* R_i")
-    common(p, max_length=True)
-    p.set_defaults(func=cmd_pairing)
+def _spelled(flag: str, parse) -> str:
+    return flag if parse is None else f"{flag} {flag[2:].upper().replace('-', '_')}"
 
-    return parser
+
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: ckdual [-h] {{{','.join(COMMANDS)}}} ..."
+    words = (_spelled(flag, parse) if default is REQUIRED else f"[{_spelled(flag, parse)}]"
+             for flag, (parse, default, _help) in COMMANDS[command][2].items())
+    return f"usage: ckdual {command} [-h] {' '.join(words)}"
+
+
+def _exit_with_help(command) -> None:
+    """Print the help of ``command`` (of ``ckdual`` for None) and exit 0."""
+    if command is None:
+        about, rows = "commands (each takes -h):", [(name, spec[1]) for name, spec in COMMANDS.items()]
+    else:
+        about, options = COMMANDS[command][1:]
+        rows = [(_spelled(flag, spec[0]), spec[2]) for flag, spec in options.items()]
+    width = max(len(left) for left, _right in rows) + 2
+    print(_usage(command), "", about, "", *(f"  {left:<{width}}{right}" for left, right in rows), sep="\n")
+    raise SystemExit(EXIT_OK)
+
+
+def _parse(command, argv) -> SimpleNamespace:
+    """The options of ``argv``, whose first token names ``command`` (None if
+    it names none), each an attribute named as in argparse: ``max_length``."""
+    if "-h" in argv or "--help" in argv:
+        _exit_with_help(command)
+    if command is None:
+        raise UsageError(f"argument command: invalid choice: {argv[0]!r} "
+                         f"(choose from {', '.join(map(repr, COMMANDS))})"
+                         if argv else "the following arguments are required: command")
+    options = COMMANDS[command][2]
+    values = {flag: spec[1] for flag, spec in options.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        # a unique prefix of an option names it; "", "-" and "--" name none
+        found = [flag] if flag in options else [o for o in options if o.startswith(flag) and flag[2:]]
+        if len(found) != 1:
+            raise UsageError(f"ambiguous option: {flag} could match {', '.join(found)}" if found
+                             else f"unrecognized arguments: {token}")
+        flag = found[0]
+        parse = options[flag][0]
+        if parse is None and eq:
+            raise UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+        if parse is not None and not eq:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                raise UsageError(f"argument {flag}: expected one argument")
+        values[flag] = True if parse is None else parse(value)
+    missing = [flag for flag, value in values.items() if value is REQUIRED]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(**{flag[2:].replace("-", "_"): value for flag, value in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        return args.func(args)
+        args = _parse(command, argv)
+        return globals()[COMMANDS[command][0]](args)
+    except UsageError as exc:
+        print(_usage(command), f"ckdual: error: {exc}", sep="\n", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT) from None
     except (sft.MatrixValidationError, sft.MatrixFormatError, SizeBudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -144,6 +144,105 @@ def test_removed_duality_command_is_a_usage_error(capsys, fib_file):
     assert "Traceback" not in err
 
 
+def _usage_error(capsys, argv) -> str:
+    """The stderr of a command line that must be a usage error (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: ckdual ")
+    assert error.startswith("ckdual: error: ")
+    return error
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_usage_errors_of_every_command(capsys, fib_file, command):
+    assert "arguments are required: --matrix" in _usage_error(capsys, [command])
+    err = _usage_error(capsys, [command, "--matrix", fib_file, "--bogus"])
+    assert err.endswith("unrecognized arguments: --bogus")
+    assert _usage_error(capsys, [command, "--matrix"]).endswith("argument --matrix: expected one argument")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["words"], "the following arguments are required: --matrix, --length"),
+        (["words", "--matrix", "FIB"], "the following arguments are required: --length"),
+        (["fock-verify", "--matrix", "FIB", "--relation", "v"],
+         "argument --relation: invalid choice: 'v' (choose from 'i', 'ii', 'iii', 'iv', 'all')"),
+        (["lemma-verify", "--matrix", "FIB", "--which", "w"],
+         "argument --which: invalid choice: 'w' (choose from 'W', 'V', 'toeplitz')"),
+        (["fock-verify", "--m", "FIB"], "ambiguous option: --m could match --matrix, --max-length"),
+        (["ktheory", "--matrix=FIB", "--json=yes"], "argument --json: ignored explicit argument 'yes'"),
+        (["ktheory", "--matrix", "FIB", "FIB"], "unrecognized arguments: FIB"),
+    ],
+    ids=["no-command", "words-bare", "words-no-length", "bad-relation", "bad-which", "ambiguous",
+         "flag-with-value", "stray-token"],
+)
+def test_usage_error_names_the_problem(capsys, fib_file, argv, message):
+    argv = [token.replace("FIB", fib_file) for token in argv]
+    assert _usage_error(capsys, argv) == f"ckdual: error: {message.replace('FIB', fib_file)}"
+
+
+@pytest.mark.parametrize(
+    "short, spelled",
+    [
+        (["ktheory", "--matrix=FIB", "--dual"], ["ktheory", "--matrix", "FIB", "--duality"]),
+        (["fock-verify", "--mat", "FIB", "--rel=iv", "--max=3"],
+         ["fock-verify", "--matrix", "FIB", "--relation", "iv", "--max-length", "3"]),
+        (["words", "--len=2", "--js", "--matrix=FIB"],
+         ["words", "--length", "2", "--json", "--matrix", "FIB"]),
+        (["lemma-verify", "--wh=V", "--matrix=FIB", "--matrix=FIB"],
+         ["lemma-verify", "--matrix", "FIB", "--which", "V"]),
+    ],
+    ids=["ktheory", "fock-verify", "words", "lemma-verify"],
+)
+def test_equals_sign_and_prefixes_print_the_spelled_out_stdout(capsys, fib_file, short, spelled):
+    runs = [run(capsys, *(t.replace("FIB", fib_file) for t in argv)) for argv in (short, spelled)]
+    assert runs[0] == runs[1]
+    assert runs[0][1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"], *([c, "--help"] for c in cli.COMMANDS), ["pairing", "--matrix", "-h"]],
+    ids=" ".join,
+)
+def test_help_lists_every_command_or_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("usage: ckdual ")
+    if argv[0] in cli.COMMANDS:
+        for flag, (_parse, _default, text) in cli.COMMANDS[argv[0]][2].items():
+            assert any(line.lstrip().startswith(flag) and text in line for line in out.splitlines())
+    else:
+        for command, (_handler, text, _options) in cli.COMMANDS.items():
+            assert f"  {command}" in out and text in out
+
+
+def test_cli_call_imports_no_argparse_gettext_or_locale(fib_file):
+    # The per-call cost these modules carried (about 4 ms in a forked child)
+    # must not come back, at import or on the call path.
+    code = (
+        "import sys\n"
+        "from ckdual import cli\n"
+        f"code = cli.main(['ktheory', '--duality', '--json', '--matrix', {fib_file!r}])\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env=env)
+    assert proc.stderr == "0 []\n"
+    assert json.loads(proc.stdout)["O_A"]
+
+
 def test_fock_verify_exits(capsys, o2_file, fib_file):
     code, out, _err = run(capsys, "fock-verify", "--matrix", o2_file)
     assert code == 0
