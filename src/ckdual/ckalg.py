@@ -11,9 +11,9 @@ Every finite product of generators and adjoints reduces to a linear
 combination of words s_mu s_nu* with mu, nu admissible.  A tensor element
 over several such algebras is an exact combination of elementary tensors,
 each keyed by one normal-form pair (mu, nu) per factor.  Coefficients are
-ints unless a caller supplies another number, which is stored as an exact
-``Fraction``.  An element of O_A is a one-factor tensor element:
-``factors == (tag,)`` and keys ``((mu, nu),)``.  No word is checked for
+stored as given: the library makes only ints, and a caller may supply any
+exact number, such as a ``Fraction``.  An element of O_A is a one-factor
+tensor element: ``factors == (tag,)`` and keys ``((mu, nu),)``.  No word is checked for
 admissibility: products of generators and their adjoints only ever form
 admissible words, and ``tensor_elem`` takes the keys it is given.
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .sft import ZeroOneMatrix, validate_matrix
@@ -71,11 +70,6 @@ def o_at(a: ZeroOneMatrix) -> AlgebraTag:
 def _z_key(d: int):
     """The normal-form pair of z^d in O_[1]."""
     return ((0,) * d, ()) if d >= 0 else ((), (0,) * -d)
-
-
-def _coeff(c):
-    """Keep an int coefficient an int; read anything else as an exact rational."""
-    return c if isinstance(c, int) else Fraction(c)
 
 
 def _continuations(a: ZeroOneMatrix, *words):
@@ -151,6 +145,12 @@ class TensorElement:
         self.factors = tuple(factors)
         self.terms = {k: v for k, v in terms.items() if v}
 
+    def __len__(self) -> int:
+        """The number of stored terms, each with a nonzero coefficient.  So an
+        element with no stored terms is falsy; ``ck_is_zero`` tests zero in
+        the algebra."""
+        return len(self.terms)
+
     def __eq__(self, other):
         return (
             isinstance(other, TensorElement)
@@ -175,10 +175,6 @@ class TensorElement:
         if isinstance(other, TensorElement):
             return ck_multiply(self, other)
         return NotImplemented
-
-    def scale(self, c) -> "TensorElement":
-        c = _coeff(c)
-        return TensorElement(self.factors, {k: c * v for k, v in self.terms.items()})
 
     def adjoint(self) -> "TensorElement":
         return TensorElement(self.factors, {
@@ -216,7 +212,7 @@ def tensor_zero(factors) -> TensorElement:
 
 
 def tensor_elem(factors, keys, coeff=1) -> TensorElement:
-    return TensorElement(factors, {tuple(keys): _coeff(coeff)})
+    return TensorElement(factors, {tuple(keys): coeff})
 
 
 def ck_unit(tag: AlgebraTag) -> TensorElement:

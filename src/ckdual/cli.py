@@ -140,12 +140,18 @@ def _emit_json(obj) -> None:
 
 
 def _warn_unless_cantor(a: sft.ZeroOneMatrix) -> None:
-    """Say on stderr when the operator constructions' assumption fails."""
+    """Say on stderr which premise of the operator constructions fails:
+    condition (I), without which the shift space is not a Cantor set, or
+    irreducibility."""
+    failed = []
     if not sft.satisfies_cantor_condition(a):
+        failed.append("shift space is not a Cantor set (a cycle has no exit)")
+    if not sft.is_irreducible(a):
+        failed.append("matrix is reducible")
+    if failed:
         print(
-            "warning: shift space is not a Cantor set "
-            "(reducible or permutation matrix); "
-            "the operator constructions assume the Cantor condition",
+            f"warning: {'; '.join(failed)}; the operator constructions assume "
+            "an irreducible matrix whose shift space is a Cantor set",
             file=sys.stderr,
         )
 

@@ -20,10 +20,12 @@ shift/isometry relations that present the Toeplitz algebra tensor O_A.
 
 The quotient map is carried by the elements, not by the Fock operators: the
 hybrid generators supply the image of their operator in O_A (x) O_{A^T}
-(R_i -> 1 (x) t_i, L_k -> s_k (x) 1, P -> 0).  Each term as written keeps
-one image, that operator image tensored with its symbolic factor, an
-element of O_A (x) O_{A^T} (x) O_A; the algebra acts on these images as
-elements, alongside the terms, and the quotient image is their sum.
+(R_i -> 1 (x) t_i, L_k -> s_k (x) 1, P -> 0).  Every element keeps one
+image, an element of O_A (x) O_{A^T} (x) O_A: the sum over its terms as
+written of the operator's image tensored with the symbolic factor.  The
+algebra acts on that image alongside the terms (a sum adds the two images,
+a product multiplies them once, the adjoint takes the image's adjoint), and
+the quotient image is the image itself.
 
 Truncation is carried as on a ``FockOperator``: every element has
 ``raise_len`` and ``lower_len``, bounds over every operator it was built
@@ -55,23 +57,24 @@ class HybridElement:
 
     ``terms`` is merged by operator value (``FockOperator`` equality is by
     matrix, and its hash is the support size), in order of first appearance.
-    ``prov`` keeps the unmerged data of the quotient map, one element q (x)
-    ck of O_A (x) O_{A^T} (x) O_A per term as written, with q the image of
-    its operator in O_A (x) O_{A^T} and ck its symbolic factor; merging and
-    truncation can empty a term whose image is not zero.  It is None for an
-    element built from raw operators.  ``raise_len`` and ``lower_len`` are
-    fixed before merging, as the maximum over every constituent operator:
-    ``+`` takes the maximum, ``hybrid_mul`` adds, ``adjoint`` swaps and
-    ``scale`` keeps them, so a cancelled or empty term still narrows
+    ``prov`` is the quotient image of the element as written, one
+    ``TensorElement`` over O_A (x) O_{A^T} (x) O_A: the sum of q (x) ck over
+    its terms, with q the image of a term's operator in O_A (x) O_{A^T} and
+    ck its symbolic factor.  It is summed before merging and truncation,
+    which can empty a term whose image is not zero.  ``raise_len`` and
+    ``lower_len`` are fixed before merging, as the maximum over every
+    constituent operator: ``+`` takes the maximum, ``hybrid_mul`` adds and
+    ``adjoint`` swaps them, so a cancelled or empty term still narrows
     ``valid_up_to``.
     """
 
     __slots__ = ("basis", "terms", "prov", "raise_len", "lower_len")
 
-    def __init__(self, basis: FockBasis, terms, prov, raise_len: int, lower_len: int):
+    def __init__(self, basis: FockBasis, terms, prov: TensorElement, raise_len: int,
+                 lower_len: int):
         self.basis = basis
         self.terms = _merge_terms(terms)
-        self.prov = None if prov is None else tuple(prov)
+        self.prov = prov
         self.raise_len = raise_len
         self.lower_len = lower_len
 
@@ -82,28 +85,15 @@ class HybridElement:
 
     def __add__(self, other):
         self._compatible(other)
-        prov = None if self.prov is None or other.prov is None else self.prov + other.prov
-        return HybridElement(self.basis, self.terms + other.terms, prov,
+        return HybridElement(self.basis, self.terms + other.terms, self.prov + other.prov,
                              max(self.raise_len, other.raise_len),
                              max(self.lower_len, other.lower_len))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "HybridElement":
-        return HybridElement(
-            self.basis,
-            [(op, ck.scale(c)) for op, ck in self.terms],
-            None if self.prov is None else [q.scale(c) for q in self.prov],
-            self.raise_len,
-            self.lower_len,
-        )
 
     def adjoint(self) -> "HybridElement":
         return HybridElement(
             self.basis,
             [(op.adjoint(), ck.adjoint()) for op, ck in self.terms],
-            None if self.prov is None else [q.adjoint() for q in self.prov],
+            self.prov.adjoint(),
             self.lower_len,
             self.raise_len,
         )
@@ -125,16 +115,17 @@ def _merge_terms(terms):
     return tuple((op, ck) for op, ck in merged.items() if ck.terms)
 
 
-def hybrid(basis: FockBasis, pairs, images=None) -> HybridElement:
+def hybrid(basis: FockBasis, pairs, images) -> HybridElement:
     """The sum of the (operator, ck) pairs.  ``images`` gives the quotient
-    image q of each operator in O_A (x) O_{A^T}, in order, and the term's
-    image is q (x) ck; without it the element has no quotient image."""
-    pairs = list(pairs)  # read three times: terms, images and bounds
-    prov = None if images is None else [
-        TensorElement(q.factors + ck.factors, {qk + k: c * c2 for qk, c in q.terms.items()
-                                               for k, c2 in ck.terms.items()})
-        for q, (_op, ck) in zip(images, pairs, strict=True)]
-    return HybridElement(basis, pairs, prov,
+    image q of each operator in O_A (x) O_{A^T}, in order, and the element's
+    image is the sum of q (x) ck over the pairs."""
+    pairs = list(pairs)  # read three times: image, terms and bounds
+    prov = {}
+    for q, (_op, ck) in zip(images, pairs, strict=True):
+        for qk, c in q.terms.items():
+            for k, c2 in ck.terms.items():
+                prov[qk + k] = prov.get(qk + k, 0) + c * c2
+    return HybridElement(basis, pairs, TensorElement(ckalg.triple_factors(basis.matrix), prov),
                          max((op.raise_len for op, _ in pairs), default=0),
                          max((op.lower_len for op, _ in pairs), default=0))
 
@@ -146,15 +137,12 @@ def _pair_factors(basis: FockBasis):
 
 def hybrid_mul(x: HybridElement, y: HybridElement) -> HybridElement:
     """xy.  A pair of terms whose symbolic product has no terms is skipped
-    before its Fock product is built, as the merge would drop it.  Each pair
-    of images is multiplied once, and a product with no terms leaves
-    ``prov``.  The bounds still add over every pair."""
+    before its Fock product is built, as the merge would drop it.  The two
+    images are multiplied once, and the bounds still add over every pair."""
     x._compatible(y)
     terms = [(op1 @ op2, ck) for op1, ck1 in x.terms for op2, ck2 in y.terms
              if (ck := ck1 * ck2).terms]
-    prov = None if x.prov is None or y.prov is None else [
-        q for q1 in x.prov for q2 in y.prov if (q := q1 * q2).terms]
-    return HybridElement(x.basis, terms, prov, x.raise_len + y.raise_len,
+    return HybridElement(x.basis, terms, x.prov * y.prov, x.raise_len + y.raise_len,
                          x.lower_len + y.lower_len)
 
 
@@ -181,7 +169,7 @@ def vacuum_tensor(basis: FockBasis, ck: TensorElement) -> HybridElement:
 
 
 def hybrid_zero(basis: FockBasis) -> HybridElement:
-    return HybridElement(basis, [], [], 0, 0)
+    return HybridElement(basis, [], ckalg.tensor_zero(ckalg.triple_factors(basis.matrix)), 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +225,14 @@ def hybrid_defects(x: HybridElement, y: HybridElement):
 
 
 # ---------------------------------------------------------------------------
-# the quotient map (defined on the images the generators supply)
+# the quotient map (carried by the images the generators supply)
 
 
 def quotient_image(x: HybridElement) -> TensorElement:
     """Image in O_A (x) O_{A^T} (x) O_A under R_i -> 1 (x) t_i, L_i -> s_i (x) 1,
     vacuum projection -> 0, with the symbolic factor carried to the third leg:
-    the sum of the images in ``x.prov``.
-
-    Only defined for elements built from the hybrid generators; an element
-    built from raw operators has no image and raises ``ValueError``.
-    """
-    if x.prov is None:
-        raise ValueError("the element was built from raw operators and has no quotient image")
-    return sum(x.prov, ckalg.tensor_zero(ckalg.triple_factors(x.basis.matrix)))
+    ``x.prov``, which every element carries."""
+    return x.prov
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +290,18 @@ def _symbolic_item(item_id: str, lhs: TensorElement, rhs: TensorElement, note: s
 
 def _w_w_expansion(basis: FockBasis, w: HybridElement, w_star: HybridElement) -> HybridElement:
     """sum_{i,j} A[j][i] R_j R_j* (x) s_i s_i* + P (x) 1, with R_j and R_j*
-    read off term j of W and of W* (every R_j is nonzero and distinct)."""
+    read off term j of W and of W* (every R_j is nonzero and distinct), with
+    R_j R_j* -> 1 (x) t_j t_j* and P -> 0."""
     a = basis.matrix
-    tag = ckalg.o_a(a)
-    pairs = []
+    tag, factors = ckalg.o_a(a), _pair_factors(basis)
+    pairs, images = [], []
     for j, ((r, _), (r_star, _)) in enumerate(zip(w.terms, w_star.terms)):
         ck = TensorElement((tag,), {(((i,), (i,)),): 1 for i in a.succ[j]})
         pairs.append((r @ r_star, ck))
+        images.append(ckalg.tensor_elem(factors, (((), ()), ((j,), (j,)))))
     pairs.append((vacuum_projection(basis), ck_unit(tag)))
-    return hybrid(basis, pairs)
+    images.append(ckalg.tensor_zero(factors))
+    return hybrid(basis, pairs, images)
 
 
 def verify_lemma_W(basis: FockBasis) -> LemmaReport:
@@ -410,8 +395,7 @@ def verify_toeplitz_untwist(basis: FockBasis) -> LemmaReport:
     items += _range_items(basis, "range", vs, vs_star, ranges)
     del vs_star, ranges  # large; no later item needs them
     p1 = vacuum_tensor(basis, ck_unit(ckalg.o_a(basis.matrix)))
-    # the difference cancels nearly every term, so WW* is freed before the scan
-    items.append(_hybrid_item("shift", unit - hybrid_mul(w, w_star), p1))
+    items.append(_hybrid_item("shift", unit, hybrid_mul(w, w_star) + p1))
     items.append(_hybrid_item("idempotent", hybrid_mul(unit, unit), unit))
     return LemmaReport("toeplitz", basis.m_max, tuple(items))
 

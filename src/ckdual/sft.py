@@ -183,18 +183,24 @@ def is_aperiodic(a: ZeroOneMatrix) -> bool:
     return abs(g) == 1
 
 
-def _is_permutation(a: ZeroOneMatrix) -> bool:
-    return all(len(s) == 1 for s in a.succ) and all(len(p) == 1 for p in a.pred)
-
-
 def satisfies_cantor_condition(a: ZeroOneMatrix) -> bool:
-    """Decidable surrogate for "the shift space is a Cantor set".
+    """Cuntz-Krieger condition (I): every cycle of the transition graph has
+    an exit, an edge that leaves it.
 
-    For irreducible matrices the shift space is a Cantor set exactly when it
-    is infinite, i.e. the matrix is not a permutation.  Reducible matrices are
-    reported False (unsupported) rather than analyzed further.
+    For a valid matrix this holds exactly when the shift space has no
+    isolated point, that is, when it is a Cantor set.  A cycle with no exit
+    is a cycle of letters with one successor each, so one walk along the
+    letters of out-degree 1, each passed once, finds it.
     """
-    return is_irreducible(a) and not _is_permutation(a)
+    walk = [None] * a.n  # the walk that first passed each letter of out-degree 1
+    for start in range(a.n):
+        v = start
+        while walk[v] is None and len(a.succ[v]) == 1:
+            walk[v] = start
+            v = a.succ[v][0]
+        if walk[v] == start:
+            return False
+    return True
 
 
 def _join(left, right, succ) -> list:

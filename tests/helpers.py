@@ -199,6 +199,27 @@ def hybrid_unit(basis: FockBasis) -> duality.HybridElement:
                           [ckalg.tensor_unit((ckalg.o_a(a), ckalg.o_at(a)))])
 
 
+def raw_hybrid(basis: FockBasis, pairs) -> duality.HybridElement:
+    """The sum of the (operator, ck) pairs, each with the quotient image 0:
+    for the defect-scan tests, which build elements from raw operators and
+    read no image."""
+    pairs = list(pairs)
+    zero = ckalg.tensor_zero((ckalg.o_a(basis.matrix), ckalg.o_at(basis.matrix)))
+    return duality.hybrid(basis, pairs, [zero] * len(pairs))
+
+
+def ck_scaled(x: ckalg.TensorElement, c) -> ckalg.TensorElement:
+    """c x: every coefficient times c."""
+    return ckalg.TensorElement(x.factors, {k: c * v for k, v in x.terms.items()})
+
+
+def hybrid_scaled(x: duality.HybridElement, c) -> duality.HybridElement:
+    """c x: every symbolic factor and the quotient image times c, with the
+    bounds of x."""
+    return duality.HybridElement(x.basis, [(op, ck_scaled(ck, c)) for op, ck in x.terms],
+                                 ck_scaled(x.prov, c), x.raise_len, x.lower_len)
+
+
 def basis_words(b: FockBasis) -> list:
     """The words of the basis in order, enumerated afresh: independent of the
     basis's own ranking."""

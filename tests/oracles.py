@@ -27,6 +27,12 @@ K-theory: it reads det(1 - A) off the periodic points of the shift, with no
 linear algebra.  It reads adjacency through ``entry`` alone and uses
 nothing of ``ckdual.zlinalg`` or ``ckdual.ktheory``, which
 ``test_oracles.py`` enforces too.
+
+``has_isolated_point`` is the topological oracle for Cuntz-Krieger
+condition (I), which ``sft.satisfies_cantor_condition`` tests as "every
+cycle has an exit": it looks for a point of the shift space that is alone in
+a cylinder.  It reads adjacency through ``entry`` alone, which
+``test_oracles.py`` enforces.
 """
 
 from __future__ import annotations
@@ -139,6 +145,28 @@ def det_one_minus_from_periodic_points(a: ZeroOneMatrix) -> int:
     det = sum(c)
     assert det.denominator == 1
     return int(det)
+
+
+def has_isolated_point(a: ZeroOneMatrix) -> bool:
+    """Whether the one-sided shift space of A has an isolated point.
+
+    A valid matrix has no zero row, so every letter starts an infinite
+    path.  The cylinder of a word is then one point exactly when every
+    letter reachable from its last letter, that letter included, has one
+    successor; so look for a letter whose forward closure has out-degree 1
+    everywhere, following the one successor until a letter repeats.
+    """
+    for start in range(a.n):
+        v, seen = start, set()
+        while v not in seen:
+            seen.add(v)
+            successors = [j for j in range(a.n) if a.entry(v, j)]
+            if len(successors) != 1:
+                break
+            v = successors[0]
+        else:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -101,21 +101,20 @@ FAMILIES = {
 # quotient items (W i, V i(k=1), V i(k=2)) test one difference each.  A scan
 # that zero-tests every cell makes 123.
 #
-# ``ckalg.multiply_calls`` counts 122 symbolic products of pairs of terms,
-# 122 products of pairs of quotient images (one per pair of ``prov``
-# entries, each entry the image q (x) ck of one term) and the 2 products
-# alpha_z* (s_k (x) 1 (x) 1) of V i(k).  ``duality.prov_out`` counts the 76
-# nonzero image products that the hybrid products keep.  Images kept as
-# pairs (q, ck) and multiplied half by half would keep the 98 pairs whose
-# q1 q2 is nonzero, 22 of them with ck1 ck2 = 0, and make the second
-# multiply ck1 ck2 for each of the 98: 344 multiplies and 98 entries, so
-# both pins fail there.
+# ``ckalg.multiply_calls`` counts 122 symbolic products of pairs of terms
+# (26 in W, 56 in V, 40 in toeplitz), 37 products of quotient images, one
+# per ``hybrid_mul`` (11 in W, 15 in V, 11 in toeplitz), whatever the number
+# of terms, and the 2 products alpha_z* (s_k (x) 1 (x) 1) of V i(k).
+# ``duality.prov_out`` counts the terms of the 37 product images:
+# 22 + 46 + 43 = 111.  Images kept as one entry per term as written, with
+# one multiply per pair of entries, make 122 image multiplies and keep 76
+# nonzero entries (246 multiplies in all), so both pins fail there.
 EXACT_COUNTS = {
     "fock-relations": {"fock.adjoint_calls": 6, "fock.matmul_calls": 26,
                        "fock.matmul_nnz": 133},
     "hybrid-lemmas": {"fock.adjoint_calls": 14, "fock.matmul_calls": 98,
                       "fock.matmul_nnz": 411, "ckalg.is_zero_calls": 54,
-                      "ckalg.multiply_calls": 246, "duality.prov_out": 76},
+                      "ckalg.multiply_calls": 161, "duality.prov_out": 111},
 }
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ckdual import ckalg, cli, fock, sft
 from ckdual.cli import main
-from helpers import MIXED4, higher_block
+from helpers import MIXED4, all_valid_matrices, higher_block
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -57,6 +57,37 @@ def test_validate_swap_warns_but_exits_zero(capsys, swap_file):
     assert code == 0
     assert "cantor: false" in out
     assert "warning" in err
+
+
+@pytest.mark.parametrize("rows, cantor, premises", [
+    # a loop with an exit into the full 2-shift on {2, 3}: a Cantor set
+    ([[1, 1, 0], [0, 1, 1], [0, 1, 1]], "true", ["matrix is reducible"]),
+    # the fixed point 22 is isolated
+    ([[1, 1], [0, 1]], "false",
+     ["shift space is not a Cantor set (a cycle has no exit)", "matrix is reducible"]),
+    ([[0, 1], [1, 0]], "false", ["shift space is not a Cantor set (a cycle has no exit)"]),
+    ([[1, 1], [1, 0]], "true", []),
+])
+def test_validate_names_each_failed_premise(capsys, tmp_path, rows, cantor, premises):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({"n": len(rows), "rows": rows}))
+    code, out, err = run(capsys, "validate", "--matrix", str(p))
+    assert code == 0
+    assert f"cantor: {cantor}" in out.splitlines()
+    expected = "" if not premises else (
+        f"warning: {'; '.join(premises)}; the operator constructions assume "
+        "an irreducible matrix whose shift space is a Cantor set\n")
+    assert err == expected
+
+
+def test_cantor_warning_fires_where_the_former_check_failed(capsys):
+    # reducible or failing condition (I); an irreducible matrix fails (I)
+    # exactly when it is a permutation, so the warning fires where the former
+    # check "irreducible and not a permutation" failed
+    for a in all_valid_matrices(2) + all_valid_matrices(3):
+        cli._warn_unless_cantor(a)
+        permutation = all(len(s) == 1 for s in a.succ) and all(len(s) == 1 for s in a.pred)
+        assert bool(capsys.readouterr().err) == (not sft.is_irreducible(a) or permutation), a.rows
 
 
 def test_validate_malformed_exits_2(capsys, tmp_path):
@@ -270,7 +301,7 @@ def test_failing_symbolic_lemma_item_reports_its_difference(capsys, monkeypatch,
     # every item holds on ones(2); twice the circle transport breaks the
     # quotient-image items, W's i and V's i(k), and nothing else
     alpha_z = ckalg.alpha_z
-    monkeypatch.setattr(ckalg, "alpha_z", lambda a: alpha_z(a).scale(2))
+    monkeypatch.setattr(ckalg, "alpha_z", lambda a: alpha_z(a) + alpha_z(a))
     code, out, _err = run(capsys, "lemma-verify", "--matrix", o2_file, "--which", "W")
     assert code == 1
     lines = out.splitlines()

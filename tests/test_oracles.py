@@ -6,7 +6,8 @@ so none may read ``succ`` or ``pred`` or use a name bound to ``ckdual.ckalg``.
 The dense reference ``one_minus``, with what it calls, keeps the same rule
 against ``ckdual.ktheory``, whose presentation it checks.  The periodic-point
 oracle keeps it against ``ckdual.zlinalg`` and ``ckdual.ktheory``, whose
-determinant and groups it checks.
+determinant and groups it checks.  The isolated-point oracle reads neither
+``succ`` nor ``pred``, which ``sft.satisfies_cantor_condition`` walks.
 """
 
 import ast
@@ -20,6 +21,8 @@ WORD_MODEL = ("_annihilate", "_create", "pair_action_on_word", "ck_action_on_wor
 DENSE_REFERENCE = ("one_minus",)
 
 PERIODIC_POINTS = ("det_one_minus_from_periodic_points",)
+
+ISOLATED_POINTS = ("has_isolated_point",)
 
 FORBIDDEN_ATTRIBUTES = {"succ", "pred"}
 
@@ -50,6 +53,10 @@ def dense_reference_violations(source: str) -> list:
 
 def periodic_point_violations(source: str) -> list:
     return _violations(source, "periodic-point", PERIODIC_POINTS, ("zlinalg", "ktheory"))
+
+
+def isolated_point_violations(source: str) -> list:
+    return _violations(source, "isolated-point", ISOLATED_POINTS, ())
 
 
 def _violations(source: str, kind: str, roots: tuple, modules: tuple) -> list:
@@ -125,6 +132,15 @@ def test_dense_reference_check_catches_each_kind_of_violation():
         assert len(problems) == 1 and what in problems[0], (what, problems)
     renamed = source.replace("def one_minus(", "def dense_one_minus(")
     assert dense_reference_violations(renamed) == ["dense-reference function one_minus is missing"]
+
+
+def test_isolated_point_oracle_reads_neither_succ_nor_pred():
+    source = ORACLES.read_text(encoding="utf-8")
+    assert isolated_point_violations(source) == []
+    entry = "[j for j in range(a.n) if a.entry(v, j)]"
+    assert source.count(entry) == 1
+    problems = isolated_point_violations(source.replace(entry, "a.succ[v]"))
+    assert len(problems) == 1 and "reads .succ" in problems[0], problems
 
 
 def test_periodic_points_read_neither_succ_nor_zlinalg_nor_ktheory():

@@ -25,6 +25,7 @@ from ckdual.sft import (
 )
 
 from helpers import FIB, IDENT2, SWAP, all_valid_matrices, is_admissible, ones, relation_family
+from oracles import has_isolated_point
 
 
 def test_validate_accepts_fibonacci_and_identity():
@@ -138,7 +139,9 @@ def test_adjacency_views_and_graph_predicates_match_dense_oracles():
         permutation = all(sum(r) == 1 for r in a.rows) and all(
             sum(r[j] for r in a.rows) == 1 for j in range(n)
         )
-        assert satisfies_cantor_condition(a) == (is_irreducible(a) and not permutation)
+        if is_irreducible(a):
+            # a cycle without an exit is then the whole graph: a permutation
+            assert satisfies_cantor_condition(a) == (not permutation)
 
 
 def test_cantor_condition():
@@ -146,6 +149,26 @@ def test_cantor_condition():
     assert not satisfies_cantor_condition(SWAP)  # two-point shift
     assert not satisfies_cantor_condition(IDENT2)  # two fixed points
     assert satisfies_cantor_condition(FIB)
+    # reducible: a loop with an exit into a full 2-shift; a loop with no exit;
+    # a 2-cycle with no exit reached from a full 2-shift
+    assert satisfies_cantor_condition(validate_matrix([[1, 1, 0], [0, 1, 1], [0, 1, 1]]))
+    assert not satisfies_cantor_condition(validate_matrix([[1, 1], [0, 1]]))
+    assert not satisfies_cantor_condition(
+        validate_matrix([[1, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
+
+
+def test_cantor_condition_is_no_isolated_point():
+    # condition (I), every cycle has an exit, against the topological oracle:
+    # a letter whose forward closure has out-degree 1 everywhere
+    changed = 0
+    for a in all_valid_matrices(2) + all_valid_matrices(3) + all_valid_matrices(4):
+        cantor = satisfies_cantor_condition(a)
+        assert cantor == (not has_isolated_point(a)), a.rows
+        changed += cantor and not is_irreducible(a)
+    # the reducible matrices whose shift space is a Cantor set, which the
+    # former test "irreducible and not a permutation" reported as false:
+    # none of the 7 valid 2x2, 27 of the 265 3x3 and 6,109 of the 41,503 4x4
+    assert changed == 27 + 6109, changed
 
 
 def test_cantor_false_means_bounded_word_growth():
